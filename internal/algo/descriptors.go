@@ -320,10 +320,11 @@ func init() {
 				return nil, err
 			}
 			used := int(verify.MaxColor(colors)) + 1
-			if err := verify.ForestDecomposition(g, colors, used); err != nil {
+			diam, err := verify.Forests(g, colors, used)
+			if err != nil {
 				return nil, fmt.Errorf("algo: result failed verification: %w", err)
 			}
-			return &Result{Decomposition: decomposition(colors, used, verify.MaxForestDiameter(g, colors), cost)}, nil
+			return &Result{Decomposition: decomposition(colors, used, diam, cost)}, nil
 		},
 	})
 

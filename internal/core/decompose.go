@@ -153,10 +153,9 @@ func forestDecompositionOnce(ctx context.Context, g *graph.Graph, opts FDOptions
 		res.Colors = newColors
 		res.NumColors += extra2
 	}
-	if err := verify.ForestDecomposition(g, res.Colors, res.NumColors); err != nil {
+	if res.Diameter, err = verify.Forests(g, res.Colors, res.NumColors); err != nil {
 		return nil, fmt.Errorf("core: final decomposition invalid: %w", err)
 	}
-	res.Diameter = verify.MaxForestDiameter(g, res.Colors)
 	return res, nil
 }
 

@@ -329,19 +329,23 @@ func (g *Graph) Dist(u, v int32) int {
 	return res
 }
 
-// Components returns a component label per vertex and the component count.
+// Components returns a component label per vertex and the component
+// count. One epoch-stamped scratch serves every component's search, so
+// the cost is O(n + m) however many components (isolated vertices
+// included) there are.
 func (g *Graph) Components() (label []int32, count int) {
 	label = make([]int32, g.n)
 	for i := range label {
 		label[i] = -1
 	}
+	var s BFSEpochScratch
 	for v := int32(0); int(v) < g.n; v++ {
 		if label[v] != -1 {
 			continue
 		}
 		c := int32(count)
 		count++
-		g.BFS([]int32{v}, -1, func(w int32, _ int) { label[w] = c })
+		g.BFSEpochWith(&s, []int32{v}, -1, func(w int32, _ int) { label[w] = c })
 	}
 	return label, count
 }

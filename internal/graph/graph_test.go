@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -141,6 +142,23 @@ func TestComponents(t *testing.T) {
 	}
 	if label[0] != label[1] || label[2] != label[3] || label[0] == label[2] || label[4] == label[0] {
 		t.Fatalf("bad labels %v", label)
+	}
+}
+
+// TestComponentsAllocationLinear: one search scratch serves every
+// component, so isolated vertices do not each cost an n-sized array.
+func TestComponentsAllocationLinear(t *testing.T) {
+	const n = 20000
+	g := MustNew(n, []Edge{{0, 1}, {2, 3}})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, count := g.Components()
+	runtime.ReadMemStats(&after)
+	if count != n-2 {
+		t.Fatalf("components = %d, want %d", count, n-2)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 64*n {
+		t.Fatalf("Components allocated %d bytes for n=%d, want <= %d", b, n, 64*n)
 	}
 }
 

@@ -285,7 +285,10 @@ func (j *Job) cancelIfQueued(now time.Time, errMsg string) bool {
 // JobCanceled (a running computation is abandoned; its eventual result
 // is discarded and not cached). Canceling a terminal job is a no-op.
 // It reports whether this call performed the cancellation.
+//
+// The transition comes first and cancels the context itself: canceling
+// the context first would let the watcher or the worker, woken by
+// ctx.Done(), take the terminal transition with the context's error.
 func (j *Job) Cancel(reason string) bool {
-	j.cancel()
 	return j.finish(time.Now(), JobCanceled, nil, reason, false)
 }

@@ -542,6 +542,39 @@ func TestInflightFollowerCanceledWithLeader(t *testing.T) {
 	}
 }
 
+// TestCancelLeaderWithFollowerRepeated repeats the leader/follower
+// cancel many times in one test: Cancel makes the terminal transition
+// itself, so the watcher or worker woken by the canceled context can
+// never take it first and record the context's error instead.
+func TestCancelLeaderWithFollowerRepeated(t *testing.T) {
+	const rounds = 500
+	// A leader canceled while queued keeps its queue slot until the
+	// worker pops it, so the queue must hold every round's leader.
+	svc := newTestService(t, Config{Workers: 1, QueueDepth: rounds})
+	svc.execHook = blockUntilCanceled
+	id := addGraph(t, svc, gen.ForestUnion(20, 2, 1))
+	spec := JobSpec{GraphID: id, Algorithm: "estimate-alpha"}
+	for i := 0; i < rounds; i++ {
+		leader, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		follower, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !svc.Cancel(leader.ID()) {
+			t.Fatalf("round %d: leader cancel failed (state %s, error %q)", i, leader.State(), leader.Snapshot().Error)
+		}
+		if snap := waitDone(t, svc, leader); snap.State != JobCanceled || snap.Error != "canceled by client" {
+			t.Fatalf("round %d: leader %s with error %q, want canceled by client", i, snap.State, snap.Error)
+		}
+		if snap := waitDone(t, svc, follower); snap.State != JobCanceled {
+			t.Fatalf("round %d: follower state = %s, want canceled alongside its leader", i, snap.State)
+		}
+	}
+}
+
 func TestResultCacheByteBudget(t *testing.T) {
 	c := newResultCache(100, 1024)
 	big := func(edges int) *JobResult {
