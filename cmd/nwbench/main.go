@@ -17,7 +17,7 @@
 //	nwbench -list
 //	nwbench -exp table1
 //	nwbench -exp all -scale 2 -seed 7
-//	nwbench -json -count 5 -o BENCH_PR3.json
+//	nwbench -json -count 3 -o BENCH_PR14.json
 //	nwbench -tier big -scale 10 -seed 1 -json -count 2 -o BENCH_PR8_BIG.new.json
 //	nwbench -json -cpuprofile cpu.pprof -o /dev/null   # profile for -pgo builds
 package main
@@ -45,7 +45,7 @@ type BenchRecord struct {
 }
 
 // BenchFile is the top-level -json document. Tier is "" for the fast
-// tier (so pre-existing baselines like BENCH_PR5.json stay comparable)
+// tier (so pre-existing baselines like BENCH_PR14.json stay comparable)
 // and the tier name otherwise; benchcmp refuses to compare files from
 // different tiers.
 type BenchFile struct {

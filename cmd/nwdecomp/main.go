@@ -14,7 +14,7 @@
 // surface nwserve exposes over HTTP — so every algorithm the server can
 // run, the CLI can run. With -alpha 0 the exact arboricity is computed
 // first (centralized). Ctrl-C cancels a long run mid-phase: the context
-// is threaded down to the simulation engine's round loop.
+// is threaded down to the peel's round loop and Algorithm 2's clusters.
 package main
 
 import (
@@ -106,7 +106,7 @@ func main() {
 	}
 
 	// Ctrl-C cancels the run mid-phase instead of killing the process
-	// abruptly; the registry threads ctx down to the engine round loop.
+	// abruptly; the registry threads ctx down to the algorithms' loops.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 

@@ -11,7 +11,11 @@ import (
 )
 
 // withEngineMode runs f under the given engine-wide execution strategy,
-// restoring the default afterwards.
+// restoring the default afterwards. No production path runs on
+// dist.Engine any more (the H-partition peel, the last one, steps on the
+// CSR), so the mode reaches nothing here; the switch stays so the
+// seq-vs-par legs keep pinning the contract should a protocol move back
+// onto the engine.
 func withEngineMode(t *testing.T, mode dist.Mode, f func()) {
 	t.Helper()
 	old := dist.DefaultMode
@@ -57,10 +61,10 @@ func checkPhasesSumToRounds(t *testing.T, label string, d *nwforest.Decompositio
 	}
 }
 
-// TestDecomposeDeterministic pins the engine-level determinism contract
-// at the public API: for a fixed Options.Seed, Decompose and DecomposeBE
-// return identical Colors, Rounds and Phases across repeated runs and
-// across the parallel engine vs. the sequential fallback.
+// TestDecomposeDeterministic pins the determinism contract at the public
+// API: for a fixed Options.Seed, Decompose and DecomposeBE return
+// identical Colors, Rounds and Phases across repeated runs and under
+// either engine mode (see withEngineMode).
 func TestDecomposeDeterministic(t *testing.T) {
 	g := gen.ForestUnion(400, 5, 13)
 	opts := nwforest.Options{Alpha: 5, Eps: 0.5, Seed: 99}
@@ -90,7 +94,7 @@ func TestDecomposeDeterministic(t *testing.T) {
 }
 
 // TestDecomposeBEReportsTraffic checks the CONGEST counters flow from
-// the engine through the Cost into the public Phases breakdown.
+// the peel through the Cost into the public Phases breakdown.
 func TestDecomposeBEReportsTraffic(t *testing.T) {
 	g := gen.ForestUnion(300, 4, 4)
 	d, err := nwforest.DecomposeBE(g, 4, 0.5)
@@ -104,10 +108,10 @@ func TestDecomposeBEReportsTraffic(t *testing.T) {
 			if p.Messages == 0 || p.Bits == 0 {
 				t.Fatalf("peel phase reports no traffic: %+v", p)
 			}
-			// peelMsg is 1 bit, so every removal notification costs
-			// exactly one bit: Bits == Messages.
+			// Every removal notification is a 1-bit message: Bits ==
+			// Messages.
 			if p.Bits != p.Messages {
-				t.Fatalf("peel traffic %d msgs but %d bits; peelMsg is 1 bit", p.Messages, p.Bits)
+				t.Fatalf("peel traffic %d msgs but %d bits; a notification is 1 bit", p.Messages, p.Bits)
 			}
 		}
 	}

@@ -27,10 +27,19 @@
 //
 // # Accounting
 //
-// Two kinds of code charge a Cost. Genuine message-passing protocols run
-// on the Engine and charge the rounds Run reports. Local post-processing
-// steps — O(1)-round relabelings, O(log* n) tree colorings — are not
-// simulated; they charge the rounds the paper proves they would take.
+// Three kinds of code charge a Cost. Message-passing protocols run on
+// the Engine charge the rounds Run reports and the traffic it counted.
+// A protocol simple enough to step directly on the graph's CSR arrays —
+// the H-partition peel in internal/hpartition — simulates its rounds
+// itself and charges what the Engine would report for the same program:
+// the rounds, and the messages and bits counted at send time; its tests
+// check it against that program on the Engine. Such a simulation calls
+// SpanObserver.EngineRound once per round it steps, so tracing samples
+// it like an Engine run; a peel that stalls charges its remaining budget
+// at once, so those idle rounds are charged but never observed. Local
+// post-processing steps — O(1)-round relabelings, O(log* n) tree
+// colorings — are not simulated; they charge the rounds the paper proves
+// they would take.
 // Charge adds to a phase; ChargeMax instead keeps the per-phase maximum,
 // which models sub-protocols that run in parallel in the LOCAL model
 // (the slowest one determines the wall-clock rounds). Rounds() is always

@@ -24,7 +24,10 @@ type SpanObserver interface {
 	TrafficCharged(phase string, msgs, bits int64)
 	// EngineRound observes one completed Engine round (round starts at
 	// 0). The engine calls it for every round; observers that only want
-	// a sample must subsample internally.
+	// a sample must subsample internally. hpartition.Partition, which
+	// steps the peel on the CSR instead of the Engine, calls it once per
+	// stepped round too; a stalled peel charges its idle rounds without
+	// stepping them, so the observer never sees those.
 	EngineRound(round int)
 }
 

@@ -22,8 +22,8 @@ func DecomposeE2E(cfg Config) (*Table, error) {
 	alpha := 4
 	g := gen.ForestUnion(n, alpha, cfg.Seed)
 	// The sampled CUT rule is the small-alpha serving regime and the one
-	// that runs a genuine dist.Engine peel (the 3-alpha orientation), so
-	// the msgs/bits metrics track real simulated-network traffic.
+	// that runs the H-partition peel (the 3-alpha orientation), so the
+	// msgs/bits metrics track the peel's simulated-network traffic.
 	res, err := runAlgo(g, algo.Request{Algorithm: "decompose", Options: algo.Options{
 		Alpha:   alpha,
 		Eps:     0.5,

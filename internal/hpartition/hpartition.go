@@ -5,8 +5,10 @@
 //
 // For t = floor((2+eps)·alpha*), the peeling removes an eps/(2+eps)
 // fraction of the remaining vertices per round, so it terminates in
-// O(log n / eps) rounds. The peeling itself runs on the dist.Engine as a
-// genuine message-passing program; the corollaries are O(1)- or
+// O(log n / eps) rounds. The peeling is simulated round by round on the
+// graph's CSR arrays, charging the rounds and the 1-bit notifications of
+// the message-passing protocol; the tests check it against that protocol
+// run as a program on dist.Engine. The corollaries are O(1)- or
 // O(log* n)-round local computations charged to the cost tracker.
 package hpartition
 
@@ -34,78 +36,104 @@ func Threshold(alphaStar int, eps float64) int {
 	return int(math.Floor((2 + eps) * float64(alphaStar)))
 }
 
-// peelMsg is the "I was removed this round" notification. It carries no
-// payload, so its CONGEST size is a single bit.
-type peelMsg struct{}
-
-// Bits implements dist.Sized.
-func (peelMsg) Bits() int { return 1 }
-
-// peelProg is the per-vertex peeling program.
-type peelProg struct {
-	t       int
-	remDeg  int
-	removed bool
-	class   int32
-}
-
-func (p *peelProg) Step(env *dist.Env, recv []dist.Message) ([]dist.Message, bool) {
-	if p.removed {
-		return nil, true
-	}
-	for _, m := range recv {
-		// Count only actual peel notifications: one per port, so a
-		// neighbor reached by k parallel edges decrements remDeg k times,
-		// matching the edge-degree convention of remDeg.
-		if _, ok := m.(peelMsg); ok {
-			p.remDeg--
-		}
-	}
-	if p.remDeg <= p.t {
-		p.removed = true
-		p.class = int32(env.Round)
-		// The engine delivers messages returned alongside done=true, so
-		// the removal notification and the halt fit in the same round.
-		// Env.Broadcast reuses the engine's out buffer, and peelMsg is a
-		// zero-size type, so the notification allocates nothing.
-		return env.Broadcast(peelMsg{}), true
-	}
-	return nil, false
-}
-
 // Partition peels g with threshold t. It fails if the graph does not
 // empty within maxRounds rounds (t below the graph's peeling number).
 // The consumed rounds are charged to cost. Cancellation of ctx stops
 // the peel at a round boundary and returns ctx.Err() unwrapped, so
 // doubling-probe callers can tell "t too small" from "caller gave up".
+//
+// The peel is the synchronous LOCAL protocol simulated round by round on
+// the CSR: in round r every remaining vertex with at most t remaining
+// neighbors (counted per port, so parallel edges count separately) is
+// removed and sends a 1-bit notification on each of its ports. Only the
+// previous round's removals and their neighbors are touched, so the
+// whole peel is O(n + m). A SpanObserver carried by ctx sees each
+// stepped round through EngineRound, as it would an engine round.
 func Partition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist.Cost) (*Result, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("hpartition: negative threshold %d", t)
 	}
-	progs := make([]*peelProg, g.N())
-	eng := dist.NewEngine(g, func(v int32) dist.Program {
-		progs[v] = &peelProg{t: t, remDeg: g.Degree(v)}
-		return progs[v]
-	})
-	rounds, err := eng.Run(ctx, maxRounds)
+	n := g.N()
+	off, arcs := g.Offsets(), g.Arcs()
+	res := &Result{T: t, Class: make([]int32, n)}
+	remDeg := make([]int32, n)
+	for v := range remDeg {
+		res.Class[v] = -1
+		remDeg[v] = off[v+1] - off[v]
+	}
+	// queue holds the removed vertices in removal order; queue[lo:] is
+	// the previous round's removals.
+	queue := make([]int32, 0, n)
+	spans := dist.SpansFromContext(ctx)
+	var (
+		rounds, lo int
+		stuck      bool
+	)
+	for len(queue) < n {
+		if rounds >= maxRounds {
+			rounds, stuck = maxRounds, true
+			break
+		}
+		if ctx.Err() != nil {
+			break
+		}
+		if rounds > 0 && lo == len(queue) {
+			// The last round removed nobody, so nobody was notified and
+			// no later round can remove anybody: charge the idle rounds
+			// of the budget without stepping them.
+			rounds, stuck = maxRounds, true
+			break
+		}
+		prev := queue[lo:]
+		lo = len(queue)
+		if rounds == 0 {
+			for v, d := range remDeg {
+				if int(d) <= t {
+					res.Class[v] = 0
+					queue = append(queue, int32(v))
+				}
+			}
+		} else {
+			class := int32(rounds)
+			for _, u := range prev {
+				for _, a := range arcs[off[u]:off[u+1]] {
+					if w := a.To; res.Class[w] < 0 {
+						// remDeg only falls one port at a time and
+						// starts above t, so it crosses t exactly here.
+						if remDeg[w]--; int(remDeg[w]) == t {
+							res.Class[w] = class
+							queue = append(queue, w)
+						}
+					}
+				}
+			}
+		}
+		if spans != nil {
+			spans.EngineRound(rounds)
+		}
+		rounds++
+	}
+	// Every removed vertex sent one notification per port in the round it
+	// was removed: the engine's count, taken at send time.
+	var msgs int64
+	for _, v := range queue {
+		msgs += int64(off[v+1] - off[v])
+	}
 	// Charge before checking the error: a failed peel (e.g. a doubling
 	// probe in EstimateDegeneracy or recolorLeftover) still consumed its
 	// whole round budget and sent real messages on the simulated network.
 	cost.Charge(rounds, "hpartition/peel")
-	cost.ChargeMessages(eng.Messages(), eng.Bits(), "hpartition/peel")
+	cost.ChargeMessages(msgs, msgs, "hpartition/peel")
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return nil, ctxErr
 	}
-	if err != nil {
-		return nil, fmt.Errorf("hpartition: peeling stuck with t=%d: %w", t, err)
+	if stuck {
+		// dist.Engine's wording for an exhausted budget: the tests hold
+		// this peel to the same program run on the engine.
+		return nil, fmt.Errorf("hpartition: peeling stuck with t=%d: dist: %d of %d programs still running after %d rounds: %w",
+			t, n-len(queue), n, maxRounds, dist.ErrMaxRounds)
 	}
-	res := &Result{T: t, Class: make([]int32, g.N())}
-	for v, p := range progs {
-		res.Class[v] = p.class
-		if int(p.class)+1 > res.NumClasses {
-			res.NumClasses = int(p.class) + 1
-		}
-	}
+	res.NumClasses = rounds
 	return res, nil
 }
 
@@ -140,16 +168,26 @@ func OutEdges(g *graph.Graph, o *verify.Orientation) [][]int32 {
 
 // ForestDecomposition labels the out-edges of every vertex with distinct
 // indices in [0, T), yielding a T-forest decomposition where every forest
-// is rooted (Barenboim-Elkin's (2+eps)·alpha decomposition). O(1) rounds.
+// is rooted (Barenboim-Elkin's (2+eps)·alpha decomposition). O(1) rounds:
+// one to orient every edge away from its Before-earlier endpoint, one to
+// label. A single walk over the edges in ID order does both, counting
+// each tail's out-edges so far, which numbers every vertex's out-edges in
+// edge-ID order exactly as AcyclicOrientation plus OutEdges would.
 func ForestDecomposition(g *graph.Graph, r *Result, cost *dist.Cost) ([]int32, error) {
-	o := AcyclicOrientation(g, r, cost)
 	colors := make([]int32, g.M())
-	for _, ids := range OutEdges(g, o) {
-		if len(ids) > r.T {
-			return nil, fmt.Errorf("hpartition: out-degree %d exceeds T=%d", len(ids), r.T)
+	outDeg := make([]int32, g.N())
+	for id, e := range g.Edges() {
+		tail := e.V
+		if r.Before(e.U, e.V) {
+			tail = e.U
 		}
-		for i, id := range ids {
-			colors[id] = int32(i)
+		colors[id] = outDeg[tail]
+		outDeg[tail]++
+	}
+	cost.Charge(1, "hpartition/orient")
+	for _, d := range outDeg {
+		if int(d) > r.T {
+			return nil, fmt.Errorf("hpartition: out-degree %d exceeds T=%d", d, r.T)
 		}
 	}
 	cost.Charge(1, "hpartition/label")

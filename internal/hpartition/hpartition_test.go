@@ -2,6 +2,7 @@ package hpartition
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"nwforest/internal/dist"
@@ -71,6 +72,97 @@ func TestPartitionStuck(t *testing.T) {
 	g := gen.Clique(10) // min degree 9; threshold 3 can never peel
 	if _, err := Partition(context.Background(), g, 3, 50, nil); err == nil {
 		t.Fatal("expected peeling to fail on K10 with t=3")
+	}
+}
+
+// roundRecorder is a span observer that records every engine round.
+type roundRecorder struct{ rounds []int }
+
+func (*roundRecorder) PhaseCharged(string, int, int)       {}
+func (*roundRecorder) TrafficCharged(string, int64, int64) {}
+func (r *roundRecorder) EngineRound(round int)             { r.rounds = append(r.rounds, round) }
+
+// TestPartitionStallChargesBudget pins the stall rule: K10 with t=3
+// removes nobody in round 0, so no later round can remove anybody. The
+// peel must charge its whole budget at once, with no traffic, instead
+// of stepping a million idle rounds.
+func TestPartitionStallChargesBudget(t *testing.T) {
+	const budget = 1 << 20
+	obs := &roundRecorder{}
+	var cost dist.Cost
+	_, err := Partition(dist.WithSpans(context.Background(), obs), gen.Clique(10), 3, budget, &cost)
+	if !errors.Is(err, dist.ErrMaxRounds) {
+		t.Fatalf("err = %v, want one wrapping dist.ErrMaxRounds", err)
+	}
+	want := dist.Phase{Name: "hpartition/peel", Rounds: budget}
+	if got := cost.Breakdown(); len(got) != 1 || got[0] != want {
+		t.Fatalf("cost %+v, want only %+v", got, want)
+	}
+	if len(obs.rounds) > 1 {
+		t.Fatalf("observer saw %d rounds, want at most 1", len(obs.rounds))
+	}
+}
+
+// TestEstimateDegeneracyChargedRounds pins the rounds the doubling
+// probes charge, failed probes' whole budgets included, on graphs where
+// the probes below the estimate stall.
+func TestEstimateDegeneracyChargedRounds(t *testing.T) {
+	for _, c := range []struct{ n, rounds int }{{1000, 292}, {2000, 316}, {4000, 340}} {
+		var cost dist.Cost
+		est, err := EstimateDegeneracy(context.Background(), gen.Gnm(c.n, 5*c.n, 3), &cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est != 8 || cost.Rounds() != c.rounds {
+			t.Fatalf("n=%d: estimate %d in %d rounds, want 8 in %d", c.n, est, cost.Rounds(), c.rounds)
+		}
+	}
+}
+
+// TestPartitionAllocs bounds the allocations of the be baseline's peel
+// and labeling: a few flat arrays, independent of the graph's size.
+func TestPartitionAllocs(t *testing.T) {
+	g := gen.RoadNetwork(192, 192, 1)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := Partition(ctx, g, 7, 16*g.N()+64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ForestDecomposition(g, res, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("Partition + ForestDecomposition made %.0f allocations, want at most 16", allocs)
+	}
+}
+
+// BenchmarkPartition times Partition plus ForestDecomposition (the be
+// baseline without its verification) on the be-road graph, which peels
+// in 3 rounds, and on a forest union that peels in 10.
+func BenchmarkPartition(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		t    int
+	}{
+		{"road-192x192/t=7", gen.RoadNetwork(192, 192, 1), 7},
+		{"forest-union-4/t=5", gen.ForestUnion(1<<16, 4, 1), 5},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := context.Background()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := Partition(ctx, c.g, c.t, 16*c.g.N()+64, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ForestDecomposition(c.g, res, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

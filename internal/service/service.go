@@ -769,7 +769,8 @@ func (s *Service) worker() {
 
 // runJob executes one job. The job's context is threaded down into the
 // algorithm, so a cancellation or deadline interrupts the decomposition
-// mid-phase (the engine checks it every simulated round). The algorithm
+// mid-phase (the H-partition peel checks it every simulated round,
+// Algorithm 2 every cluster). The algorithm
 // still runs in its own goroutine so the worker is released immediately
 // even for the few centralized reference computations that are not
 // preemptible; an abandoned computation of that kind finishes in the

@@ -18,9 +18,9 @@
 // (WriteJSON) that loads directly in Perfetto or chrome://tracing;
 // ValidateTraceEvents checks that shape and backs the golden tests.
 //
-// Tracing off means no Recorder exists at all: the charge sites pay one
-// nil check and the engine's steady-state rounds stay at zero
-// allocations (enforced by the dist benchmarks).
+// Tracing off means no Recorder exists at all: the charge sites and
+// every simulated round (the H-partition peel's, or dist.Engine's) pay
+// one nil check and allocate nothing.
 package trace
 
 import (
@@ -197,7 +197,7 @@ func (r *Recorder) TrafficCharged(phase string, msgs, bits int64) {
 // EngineRound implements dist.SpanObserver: when sampling is on, every
 // RoundEvery-th engine round becomes an instant event on the phase
 // track. The sampling check runs before the lock so tracing with
-// sampling off adds no contention to the engine's round loop.
+// sampling off adds no contention to a simulated round loop.
 func (r *Recorder) EngineRound(round int) {
 	if r == nil || r.roundEvery <= 0 || round%r.roundEvery != 0 {
 		return

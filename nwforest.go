@@ -15,8 +15,8 @@
 // "pseudo", "orient", "estimate-alpha", "arboricity") and carries its
 // unified parameters; the Result is the union of the algorithms'
 // outputs. Cancellation or expiry of ctx interrupts a run mid-phase —
-// the engine checks the context every simulated round — so servers can
-// abandon work promptly. Algorithms lists the registered names.
+// the H-partition peel checks the context every simulated round and
+// Algorithm 2 every cluster — so servers can abandon work promptly. Algorithms lists the registered names.
 //
 // The historical per-algorithm functions (Decompose, DecomposeList,
 // DecomposeStars, DecomposeStarsList24, DecomposeBE, DecomposePseudo,
