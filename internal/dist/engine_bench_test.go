@@ -30,14 +30,38 @@ func (p *ticker) Step(env *dist.Env, recv []dist.Message) ([]dist.Message, bool)
 	return env.Broadcast(tickMsg{}), p.left == 0
 }
 
+// mallocProbe is a span observer that reads the heap's malloc count at
+// the ends of two engine rounds. Its MemStats is preallocated, so the
+// probe itself allocates nothing.
+type mallocProbe struct {
+	from, to   int // rounds whose ends are sampled
+	start, end uint64
+	ms         runtime.MemStats
+}
+
+func (p *mallocProbe) PhaseCharged(string, int, int)       {}
+func (p *mallocProbe) TrafficCharged(string, int64, int64) {}
+
+func (p *mallocProbe) EngineRound(round int) {
+	if round != p.from && round != p.to {
+		return
+	}
+	runtime.ReadMemStats(&p.ms)
+	if round == p.from {
+		p.start = p.ms.Mallocs
+	} else {
+		p.end = p.ms.Mallocs
+	}
+}
+
 // TestEngineSteadyRoundsZeroAlloc enforces the zero-alloc invariant the
-// benchmark below only reports: 100 extra steady-state rounds must cost
-// (essentially) the same number of allocations as 1 round. Measuring
-// the difference between the two Run shapes cancels out the per-Run
-// setup (shard bounds, parallel worker spawn), which is one-time and
-// allowed. Allocations are counted with runtime.ReadMemStats rather
-// than testing.AllocsPerRun, because AllocsPerRun pins GOMAXPROCS to 1
-// and would silently collapse the Parallel mode onto the sequential
+// benchmark below only reports: the 100 rounds between the ends of
+// rounds 1 and 101 of one Run must cost (essentially) no allocations.
+// Counting inside the Run leaves out its one-time set-up (shard bounds,
+// parallel worker spawn), which is allowed and whose malloc count varies
+// from Run to Run. Allocations are counted with runtime.ReadMemStats
+// rather than testing.AllocsPerRun, because AllocsPerRun pins GOMAXPROCS
+// to 1 and would silently collapse the Parallel mode onto the sequential
 // path — the parallel round loop must be the thing under test.
 func TestEngineSteadyRoundsZeroAlloc(t *testing.T) {
 	g := gen.MultiplyEdges(gen.Gnm(3000, 9000, 5), 2)
@@ -55,31 +79,23 @@ func TestEngineSteadyRoundsZeroAlloc(t *testing.T) {
 			if tc.mode == dist.Parallel && runtime.GOMAXPROCS(0) < 2 {
 				t.Skip("needs GOMAXPROCS >= 2 to exercise the parallel round loop")
 			}
-			allocsDuring := func(rounds int) uint64 {
-				best := ^uint64(0)
-				for attempt := 0; attempt < 3; attempt++ {
-					eng := dist.NewEngine(g, func(v int32) dist.Program {
-						return &ticker{left: 1 << 30} // never halts: every round is steady-state
-					})
-					eng.SetMode(tc.mode)
-					runtime.GC()
-					var m0, m1 runtime.MemStats
-					runtime.ReadMemStats(&m0)
-					eng.Run(context.Background(), rounds) // returns ErrMaxRounds by design; rounds still execute
-					runtime.ReadMemStats(&m1)
-					if d := m1.Mallocs - m0.Mallocs; d < best {
-						best = d
-					}
-				}
-				return best
+			best := ^uint64(0)
+			for attempt := 0; attempt < 3; attempt++ {
+				eng := dist.NewEngine(g, func(v int32) dist.Program {
+					return &ticker{left: 1 << 30} // never halts: every round is steady-state
+				})
+				eng.SetMode(tc.mode)
+				probe := &mallocProbe{from: 1, to: 101}
+				runtime.GC()
+				// Returns ErrMaxRounds by design; the rounds still execute.
+				eng.Run(dist.WithSpans(context.Background(), probe), probe.to+1)
+				best = min(best, probe.end-probe.start)
 			}
-			short, long := allocsDuring(1), allocsDuring(101)
 			// Allow a couple of one-off runtime-internal allocations
 			// (sudog warm-up and the like); 100 rounds of even one
 			// allocation every few rounds would blow far past this.
-			if long > short+2 {
-				t.Errorf("steady-state rounds allocate: Run(1)=%d mallocs, Run(101)=%d (+%d over 100 extra rounds, want <= 2)",
-					short, long, long-short)
+			if best > 2 {
+				t.Errorf("steady-state rounds allocate: %d mallocs over 100 rounds, want <= 2", best)
 			}
 		})
 	}

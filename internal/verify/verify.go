@@ -5,8 +5,11 @@
 // The paper's algorithms succeed "with high probability, and all the
 // failure modes can be locally checked" (Section 1.1); these oracles are
 // that check, run centrally. Tests and the benchmark harness validate
-// every decomposition with them. The color-class checks walk each class
-// once, so a call costs O(n + m + k) for the largest color k present.
+// every decomposition with them. The color-class checks lay the colored
+// edges out in class order once, then spend two passes on each class:
+// one accumulating in-class degrees, one peeling leaves (see
+// walkClasses). A call costs O(n + m + k) for the largest color k
+// present.
 package verify
 
 import (
@@ -58,7 +61,10 @@ func StarForestDecomposition(g *graph.Graph, colors []int32, k int) error {
 	if r.cycle != nil {
 		return r.cycle
 	}
-	return r.twoCenters
+	if r.notStarIDs == nil {
+		return nil
+	}
+	return twoCenters(g.N(), colors, r.notStarIDs, r.notStarEdges)
 }
 
 // PseudoForestDecomposition checks that every color class is a
@@ -108,146 +114,215 @@ type classReport struct {
 	cycle error
 	// twoCycles: an edge gives a component of its class a second cycle.
 	twoCycles error
-	// twoCenters: an edge joins two vertices of in-class degree >= 2.
-	twoCenters error
+	// notStarIDs and notStarEdges are the lowest forest class with a
+	// tree of diameter >= 3, in ID order; nil when there is none.
+	notStarIDs   []int32
+	notStarEdges []graph.Edge
 }
 
-// vertexState is one vertex's state within the class being walked.
-type vertexState struct {
-	parent int32 // union-find parent; minus the component size at a root
-	cycles int32 // at a root: the component's edges minus (vertices - 1)
+// peelState is one vertex's state within the class being walked.
+type peelState struct {
 	deg    int32 // in-class edges not yet peeled
 	nbr    int32 // XOR of the in-class neighbours not yet peeled
 	height int32 // longest peeled path hanging below the vertex
 }
 
-// walkClasses visits each color class once. Its in-class degrees find
-// edges between two star centers, and peeling its leaves measures its
-// trees: a leaf's one remaining neighbour is the XOR of its unpeeled
-// neighbours, so no adjacency list is built. Peeling empties exactly the
-// acyclic classes; in a class it cannot empty, union-find over the edges
-// counts each component's cycles and names the edges that close them.
-// Negative colors are skipped. A class touches only its own edges and
-// their endpoints, so a call costs O(n + m + c) for the largest color c
-// present, with O(n) scratch allocated once.
+// walkClasses visits each color class in two passes over its edges,
+// which sortByColor has laid out in class order. The first accumulates
+// every endpoint's in-class degree and the XOR of its neighbours, so a
+// leaf's one remaining neighbour is known without an adjacency list.
+// The second peels leaves in chains: from each candidate v, while v has
+// degree 1 it is peeled into its neighbour u and the chain goes on from
+// u. Peeling v closes a path through u of v's height + 1 plus u's
+// tallest earlier branch, which gives every tree's exact diameter in any
+// order that peels a vertex once it has one unpeeled neighbour. The
+// candidates are all vertices in ID order when the class has at least
+// n/2 edges (at most 2m/n classes do, so these scans cost O(m)), and its
+// edges' endpoints otherwise.
+//
+// The state of every vertex is zero between classes, so a class needs no
+// init pass: peeling zeroes each vertex it removes and each tree's last
+// vertex, whose degree reaches 0. Peeling empties exactly the acyclic
+// classes. A class it cannot empty resets its endpoints, then union-find
+// over its edges in ID order counts each component's cycles and names
+// the edges that close them. A forest class is a star forest iff none of
+// its trees has diameter >= 3; the walk only records the lowest class
+// that is not, and StarForestDecomposition names its edge (twoCenters).
+//
+// Negative colors are skipped. The scratch is 12 bytes per vertex and
+// 12 per colored edge, allocated once, plus 8 per vertex for union-find
+// from the first class peeling cannot empty. A call costs O(n + m + c)
+// for the largest color c present.
 func walkClasses(g *graph.Graph, colors []int32) classReport {
 	var r classReport
-	edges := g.Edges()
-	vs := make([]vertexState, g.N())
-	queue := make([]int32, 0, g.N())
-	order := sortByColor(colors)
-	for start := 0; start < len(order); {
-		c := colors[order[start]]
-		end := start + 1
-		for end < len(order) && colors[order[end]] == c {
-			end++
-		}
-		ids := order[start:end]
-		start = end
-
-		for _, id := range ids {
-			e := edges[id]
-			vs[e.U] = vertexState{parent: -1}
-			vs[e.V] = vertexState{parent: -1}
-		}
-		for _, id := range ids {
-			e := edges[id]
-			vs[e.U].deg++
-			vs[e.U].nbr ^= e.V
-			vs[e.V].deg++
-			vs[e.V].nbr ^= e.U
-		}
-		// An edge whose endpoints both have in-class degree >= 2 joins
-		// two star centers. A leaf is the endpoint of exactly one class
-		// edge, so this queues each leaf once. Peeling leaf v into its
-		// neighbour u closes a path through u of v's height + 1 plus u's
-		// tallest earlier branch.
-		queue = queue[:0]
-		for _, id := range ids {
-			e := edges[id]
-			du, dv := vs[e.U].deg, vs[e.V].deg
-			if du >= 2 && dv >= 2 && r.twoCenters == nil {
-				r.twoCenters = fmt.Errorf("verify: color %d is not a star forest: edge %d joins two centers (%d-%d)", c, id, e.U, e.V)
-			}
-			if du == 1 {
-				queue = append(queue, e.U)
-			}
-			if dv == 1 {
-				queue = append(queue, e.V)
-			}
-		}
-		peeled := 0
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			if vs[v].deg == 0 { // the last vertex of its tree
-				continue
-			}
-			peeled++
-			u, h := vs[v].nbr, vs[v].height+1
-			r.diameter = max(r.diameter, int(vs[u].height+h))
-			vs[u].height = max(vs[u].height, h)
-			vs[u].nbr ^= v
-			vs[u].deg--
-			if vs[u].deg == 1 {
-				queue = append(queue, u)
-			}
-		}
-		if peeled == len(ids) { // a forest
+	n := g.N()
+	ids, edges, bounds := sortByColor(colors, g.Edges())
+	st := make([]peelState, n)
+	var parent, cycles []int32
+	for j := 0; j+1 < len(bounds); j++ {
+		lo, hi := bounds[j], bounds[j+1]
+		if lo == hi {
 			continue
 		}
-		for _, id := range ids {
-			e := edges[id]
-			ru, rv := find(vs, e.U), find(vs, e.V)
+		es := edges[lo:hi]
+		for _, e := range es {
+			st[e.U].deg++
+			st[e.U].nbr ^= e.V
+			st[e.V].deg++
+			st[e.V].nbr ^= e.U
+		}
+		peeled, diam := 0, int32(0)
+		if 2*len(es) >= n {
+			for v := range st {
+				peeled, diam = peel(st, int32(v), peeled, diam)
+			}
+		} else {
+			for _, e := range es {
+				peeled, diam = peel(st, e.U, peeled, diam)
+				peeled, diam = peel(st, e.V, peeled, diam)
+			}
+		}
+		r.diameter = max(r.diameter, int(diam))
+		if peeled == len(es) { // a forest
+			if diam >= 3 && r.notStarIDs == nil {
+				r.notStarIDs, r.notStarEdges = ids[lo:hi], es
+			}
+			continue
+		}
+		if parent == nil {
+			parent, cycles = make([]int32, n), make([]int32, n)
+		}
+		for _, e := range es {
+			// No result needs this reset (stale state could only stop
+			// later peels, which union-find covers, and the diameter is
+			// now unspecified), but it keeps the state zero between
+			// classes unconditionally.
+			st[e.U], st[e.V] = peelState{}, peelState{}
+			parent[e.U], parent[e.V] = -1, -1
+			cycles[e.U], cycles[e.V] = 0, 0
+		}
+		for i, e := range es {
+			id := ids[int(lo)+i]
+			ru, rv := find(parent, e.U), find(parent, e.V)
 			if ru == rv {
-				vs[ru].cycles++
+				cycles[ru]++
 				if r.cycle == nil {
-					r.cycle = fmt.Errorf("verify: color %d contains a cycle through edge %d (%d-%d)", c, id, e.U, e.V)
+					r.cycle = fmt.Errorf("verify: color %d contains a cycle through edge %d (%d-%d)", colors[id], id, e.U, e.V)
 				}
 			} else {
-				if vs[ru].parent > vs[rv].parent { // union by size
+				if parent[ru] > parent[rv] { // union by size
 					ru, rv = rv, ru
 				}
-				vs[ru].parent += vs[rv].parent
-				vs[ru].cycles += vs[rv].cycles
-				vs[rv].parent = ru
+				parent[ru] += parent[rv]
+				cycles[ru] += cycles[rv]
+				parent[rv] = ru
 			}
-			if vs[ru].cycles > 1 && r.twoCycles == nil {
-				r.twoCycles = fmt.Errorf("verify: color %d has a component with two cycles, completed by edge %d (%d-%d)", c, id, e.U, e.V)
+			if cycles[ru] > 1 && r.twoCycles == nil {
+				r.twoCycles = fmt.Errorf("verify: color %d has a component with two cycles, completed by edge %d (%d-%d)", colors[id], id, e.U, e.V)
 			}
 		}
 	}
 	return r
 }
 
-// find returns v's union-find root, halving the path on the way.
-func find(vs []vertexState, v int32) int32 {
-	for vs[v].parent >= 0 {
-		if p := vs[v].parent; vs[p].parent >= 0 {
-			vs[v].parent = vs[p].parent
+// peel peels v while it is a leaf, going on into its neighbour whenever
+// that becomes one, and zeroes the tree's last vertex if it reaches it.
+// It adds the vertices it peels to peeled and raises diam to the longest
+// path it closes.
+func peel(st []peelState, v int32, peeled int, diam int32) (int, int32) {
+	for st[v].deg == 1 {
+		u, h := st[v].nbr, st[v].height+1
+		st[v] = peelState{}
+		pu := &st[u]
+		diam = max(diam, pu.height+h)
+		pu.height = max(pu.height, h)
+		pu.nbr ^= v
+		pu.deg--
+		if pu.deg == 0 {
+			*pu = peelState{}
 		}
-		v = vs[v].parent
+		peeled++
+		v = u
+	}
+	return peeled, diam
+}
+
+// find returns v's union-find root, halving the path on the way.
+func find(parent []int32, v int32) int32 {
+	for parent[v] >= 0 {
+		if p := parent[v]; parent[p] >= 0 {
+			parent[v] = parent[p]
+		}
+		v = parent[v]
 	}
 	return v
 }
 
-// sortByColor returns the IDs of the edges whose color is not negative,
-// ordered by color and, within a color, by ID. It is a counting sort on
-// the color with buckets sized by the largest color present; colors of
-// 2^16 and more take a second pass on their high bits (an LSD radix
-// sort), so no color value can blow the buckets up.
-func sortByColor(colors []int32) []int32 {
+// twoCenters names the lowest-ID edge joining two vertices of in-class
+// degree >= 2 in a forest class, given by its edge IDs and endpoints in
+// ID order. A tree has such an edge iff its diameter is at least 3.
+func twoCenters(n int, colors, ids []int32, edges []graph.Edge) error {
+	deg := make([]int32, n)
+	for _, e := range edges {
+		deg[e.U]++
+		deg[e.V]++
+	}
+	for i, e := range edges {
+		if deg[e.U] >= 2 && deg[e.V] >= 2 {
+			return fmt.Errorf("verify: color %d is not a star forest: edge %d joins two centers (%d-%d)", colors[ids[i]], ids[i], e.U, e.V)
+		}
+	}
+	return nil
+}
+
+// sortByColor lays out the edges whose color is not negative in class
+// order: by color and, within a color, by ID. ids holds their IDs and
+// edges their endpoints; class j is ids[bounds[j]:bounds[j+1]], and a
+// class may be empty. When every color is below 2^16 this is one
+// counting pass and one scatter pass, with buckets sized by the largest
+// color. Larger colors take a two-digit LSD radix sort of the IDs and a
+// gather of the endpoints, so no color value can blow the buckets up.
+func sortByColor(colors []int32, all []graph.Edge) (ids []int32, edges []graph.Edge, bounds []int32) {
 	const digit = 1<<16 - 1
-	ids := make([]int32, 0, len(colors))
 	top := int32(-1)
+	for _, c := range colors {
+		top = max(top, c)
+	}
+	if top <= digit {
+		// count[c+2] counts class c; then count[c+1] is its start, and
+		// after the scatter its end.
+		count := make([]int32, top+3)
+		for _, c := range colors {
+			if c >= 0 {
+				count[c+2]++
+			}
+		}
+		for d := 2; d < len(count); d++ {
+			count[d] += count[d-1]
+		}
+		ids = make([]int32, count[len(count)-1])
+		edges = make([]graph.Edge, len(ids))
+		for id, c := range colors {
+			if c >= 0 {
+				p := count[c+1]
+				count[c+1]++
+				ids[p] = int32(id)
+				edges[p] = all[id]
+			}
+		}
+		return ids, edges, count[:top+2]
+	}
+	ids = make([]int32, 0, len(colors))
 	for id, c := range colors {
 		if c >= 0 {
 			ids = append(ids, int32(id))
-			top = max(top, c)
 		}
 	}
 	tmp := make([]int32, len(ids))
-	for shift := 0; shift == 0 || top>>shift > 0; shift += 16 {
-		count := make([]int32, min(int(top>>shift), digit)+2)
+	count := make([]int32, digit+2)
+	for shift := 0; shift <= 16; shift += 16 {
+		count := count[:min(int(top>>shift), digit)+2]
+		clear(count)
 		for _, id := range ids {
 			count[colors[id]>>shift&digit+1]++
 		}
@@ -261,7 +336,15 @@ func sortByColor(colors []int32) []int32 {
 		}
 		ids, tmp = tmp, ids
 	}
-	return ids
+	edges = make([]graph.Edge, len(ids))
+	bounds = make([]int32, 1, len(ids)+1)
+	for i, id := range ids {
+		edges[i] = all[id]
+		if i > 0 && colors[id] != colors[ids[i-1]] {
+			bounds = append(bounds, int32(i))
+		}
+	}
+	return ids, edges, append(bounds, int32(len(ids)))
 }
 
 // RespectsPalettes checks that every colored edge uses a color from its

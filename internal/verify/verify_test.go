@@ -490,6 +490,59 @@ func TestClassWalkReportsLowestColor(t *testing.T) {
 	}
 }
 
+// TestClassWalkStarVersusCycle: the star check reports a cycle before
+// a class that is not a star forest, whichever color is lower, and
+// otherwise names the lowest-ID edge joining two centers.
+func TestClassWalkStarVersusCycle(t *testing.T) {
+	// Paths 0-1-2-3 and 4-5-6-7, whose center edges are 3 (1-2) and
+	// 5 (5-6), and the triangle 8-9-10.
+	g := graph.MustNew(11, []graph.Edge{
+		graph.E(4, 5), graph.E(6, 7), graph.E(0, 1), graph.E(1, 2), graph.E(2, 3), graph.E(5, 6),
+		graph.E(8, 9), graph.E(9, 10), graph.E(10, 8),
+	})
+	for _, c := range []struct{ paths, triangle int32 }{{0, 1}, {1, 0}} {
+		colors := []int32{c.paths, c.paths, c.paths, c.paths, c.paths, c.paths, c.triangle, c.triangle, c.triangle}
+		want := fmt.Sprintf("verify: color %d contains a cycle through edge 8 (10-8)", c.triangle)
+		if err := StarForestDecomposition(g, colors, 2); err == nil || err.Error() != want {
+			t.Errorf("paths %d, triangle %d: error %v, want %q", c.paths, c.triangle, err, want)
+		}
+		CheckAgainstOracles(t, g, colors)
+	}
+	// The triangle becomes a path in color 0 and an edge in color 2.
+	colors := []int32{1, 1, 1, 1, 1, 1, 0, 0, 2}
+	want := "verify: color 1 is not a star forest: edge 3 joins two centers (1-2)"
+	if err := StarForestDecomposition(g, colors, 3); err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
+	}
+	CheckAgainstOracles(t, g, colors)
+}
+
+// TestClassWalkHalfDenseClass: a class with exactly n/2 edges scans every
+// vertex for leaves, and its leaves all have IDs in the upper half. The
+// other class is sparse, and its leaves are only second endpoints.
+func TestClassWalkHalfDenseClass(t *testing.T) {
+	// Color 0: the tree 4-0, 0-5, 0-6, 6-7 (4 edges, n = 8, diameter
+	// 3 along 4-0-6-7). Color 1: the path 1-2-3 as edges 2-1 and 2-3.
+	g := graph.MustNew(8, []graph.Edge{
+		graph.E(4, 0), graph.E(0, 5), graph.E(0, 6), graph.E(6, 7), graph.E(2, 1), graph.E(2, 3),
+	})
+	const u = Uncolored
+	for _, c := range []struct {
+		colors   []int32
+		diameter int
+	}{
+		{[]int32{0, 0, 0, 0, 1, 1}, 3},
+		{[]int32{1, 1, 1, 1, 0, 0}, 3},
+		{[]int32{0, 0, 0, 0, u, u}, 3},
+		{[]int32{u, u, u, u, 0, 0}, 2},
+	} {
+		if d := MaxForestDiameter(g, c.colors); d != c.diameter {
+			t.Errorf("colors %v: diameter %d, want %d", c.colors, d, c.diameter)
+		}
+		CheckAgainstOracles(t, g, c.colors)
+	}
+}
+
 func TestMaxForestDiameterCyclicClassDoesNotPanic(t *testing.T) {
 	// A triangle with a pendant path, a theta multigraph, and a tree
 	// hanging between two cycles: none of it can be peeled away whole.
