@@ -323,10 +323,18 @@ func (s *State) ColorsAt(v int32) []int32 {
 }
 
 // PathInColor returns the edge IDs of the unique u-v path in the c-colored
-// forest, or nil if u and v are disconnected in color c. If within is
-// non-nil, the search only traverses vertices w with within(w) true
-// (u and v themselves are always allowed); a path escaping the region is
-// treated as disconnection. This is the paper's C(e, c) primitive.
+// forest, ordered from v to u, or nil if u and v are disconnected in
+// color c. If within is non-nil, the search only traverses vertices w
+// with within(w) true (u and v themselves are always allowed); a path
+// escaping the region is treated as disconnection. This is the paper's
+// C(e, c) primitive.
+//
+// The c-class must be a forest, which every partial forest decomposition
+// guarantees. The query then costs the two search balls around u and v
+// up to the vertex where they meet (see search), not u's whole c-tree.
+// If the class has a cycle, a non-nil answer is still a simple c-colored
+// u-v path through the region, but not necessarily the shortest one,
+// and nil may be returned although such a path exists.
 func (s *State) PathInColor(c, u, v int32, within func(int32) bool) []int32 {
 	return s.PathInColorWith(s.sc, c, u, v, within)
 }
@@ -336,51 +344,103 @@ func (s *State) PathInColorWith(sc *Scratch, c, u, v int32, within func(int32) b
 	if u == v {
 		return []int32{}
 	}
-	if !s.search(sc, c, u, v, within) {
+	a, b, mid, ok := s.search(sc, c, u, v, within)
+	if !ok {
 		return nil
 	}
-	// Rebuild the path from the parent-edge stamps; only the result
-	// itself is allocated.
-	var path []int32
-	for cur := v; cur != u; {
-		pe := sc.parentEdge[cur]
-		path = append(path, pe)
-		cur = s.g.Edge(pe).Other(cur)
+	// v to b along side B's parent edges, the meeting edge, then a to u
+	// along side A's. Only the result itself is allocated.
+	nb := s.hops(sc, b, v)
+	path := make([]int32, nb+1+s.hops(sc, a, u))
+	i := nb
+	for x := b; x != v; {
+		i--
+		path[i] = sc.parentEdge[x]
+		x = s.g.Edge(path[i]).Other(x)
+	}
+	path[nb] = mid
+	i = nb + 1
+	for x := a; x != u; i++ {
+		path[i] = sc.parentEdge[x]
+		x = s.g.Edge(path[i]).Other(x)
 	}
 	return path
 }
 
-// search runs the monochromatic BFS from u, stamping parentEdge, and
-// reports whether v was reached. It allocates nothing beyond growing the
-// scratch queue to the largest component seen so far.
-func (s *State) search(sc *Scratch, c, u, v int32, within func(int32) bool) bool {
+// hops counts the parent edges search stamped from x back to root, the
+// start of x's side.
+func (s *State) hops(sc *Scratch, x, root int32) int {
+	n := 0
+	for ; x != root; n++ {
+		x = s.g.Edge(sc.parentEdge[x]).Other(x)
+	}
+	return n
+}
+
+// search decides whether u and v (u != v) are joined by a c-colored path
+// whose interior lies in the region, by a balanced bidirectional BFS:
+// side A grows from u, side B from v, and the side with fewer pending
+// vertices expands next. Each side expands only its start vertex and
+// within vertices, stamping the Scratch's mark with its own epoch and
+// parentEdge with the edge that reached each vertex.
+//
+// In a forest, each side's marked set is a subtree containing its start,
+// so the first vertex both sides mark lies on the unique u-v path. That
+// path stays in the region exactly when the vertex is u, v or a within
+// vertex: otherwise it is an interior vertex neither side may expand.
+// This is the one-sided BFS's verdict at the cost of the two balls up to
+// the meeting vertex. A side that runs out of pending vertices first has
+// exhausted its reach without meeting the other: not connected.
+//
+// On success a and b are the side-A and side-B ends of the meeting edge
+// mid; parentEdge leads from a back to u and from b back to v. It
+// allocates nothing beyond growing the scratch queues.
+func (s *State) search(sc *Scratch, c, u, v int32, within func(int32) bool) (a, b, mid int32, ok bool) {
+	if len(s.incident(u, c)) == 0 || len(s.incident(v, c)) == 0 {
+		return -1, -1, -1, false
+	}
 	sc.grow(s.g.N())
 	ep := sc.next()
-	sc.mark[u] = ep
-	sc.queue = append(sc.queue[:0], u)
-	for head := 0; head < len(sc.queue); head++ {
-		x := sc.queue[head]
+	tag := [2]uint32{ep, ep + 1}
+	root := [2]int32{u, v}
+	q := &sc.queue
+	q[0], q[1] = append(q[0][:0], u), append(q[1][:0], v)
+	var head [2]int
+	sc.mark[u], sc.mark[v] = tag[0], tag[1]
+	for head[0] < len(q[0]) && head[1] < len(q[1]) {
+		i := 0
+		if len(q[1])-head[1] < len(q[0])-head[0] {
+			i = 1
+		}
+		x := q[i][head[i]]
+		head[i]++
 		for _, id := range s.incident(x, c) {
 			y := s.g.Edge(id).Other(x)
-			if sc.mark[y] == ep {
+			switch sc.mark[y] {
+			case tag[i]:
 				continue
+			case tag[1-i]:
+				ok := y == root[1-i] || within == nil || within(y)
+				if i == 1 {
+					x, y = y, x
+				}
+				return x, y, id, ok
 			}
-			sc.mark[y] = ep
+			sc.mark[y] = tag[i]
 			sc.parentEdge[y] = id
-			if y == v {
-				return true
-			}
 			if within == nil || within(y) {
-				sc.queue = append(sc.queue, y)
+				q[i] = append(q[i], y)
 			}
 		}
 	}
-	return false
+	return -1, -1, -1, false
 }
 
 // ConnectedInColor reports whether u and v are connected in color c,
 // searching only within the given region (nil = everywhere). Unlike
 // PathInColor it does not materialize the path, so it is allocation-free.
+// The precondition and cost are PathInColor's: the c-class must be a
+// forest, and the query costs the two balls up to the meeting vertex.
 func (s *State) ConnectedInColor(c, u, v int32, within func(int32) bool) bool {
 	return s.ConnectedInColorWith(s.sc, c, u, v, within)
 }
@@ -390,7 +450,8 @@ func (s *State) ConnectedInColorWith(sc *Scratch, c, u, v int32, within func(int
 	if u == v {
 		return true
 	}
-	return s.search(sc, c, u, v, within)
+	_, _, _, ok := s.search(sc, c, u, v, within)
+	return ok
 }
 
 // ComponentInColor returns the vertices of the c-colored component

@@ -1,5 +1,7 @@
 package forest
 
+import "math"
+
 // Scratch holds the epoch-stamped buffers behind the State query methods
 // (PathInColorWith, ConnectedInColorWith, ComponentInColorWith,
 // RootedTreesInColorWith). A State carries one built-in Scratch for the
@@ -15,16 +17,17 @@ package forest
 // or caller-owned state are fine (every callback in this module is of
 // that form).
 type Scratch struct {
-	// mark[v] == epoch iff v is visited by the query in progress;
-	// bumping epoch invalidates all marks in O(1), so the queries
-	// themselves allocate only their results. The augmenting-sequence
-	// search calls PathInColor once per (edge, color) probe — with
-	// per-call maps this scratch was ~95% of the end-to-end
-	// decomposition's allocated bytes.
+	// mark[v] holds the epoch of the query that last visited v; each
+	// query owns two fresh epochs (next), which the path search uses to
+	// tell its two sides apart. Bumping epoch invalidates all marks in
+	// O(1), so the queries themselves allocate only their results. The
+	// augmenting-sequence search calls PathInColor once per (edge,
+	// color) probe — with per-call maps this scratch was ~95% of the
+	// end-to-end decomposition's allocated bytes.
 	mark       []uint32
 	regionMark []uint32
 	parentEdge []int32
-	queue      []int32
+	queue      [2][]int32 // the path search's per-side BFS queues
 	epoch      uint32
 }
 
@@ -48,15 +51,16 @@ func (sc *Scratch) grow(n int) {
 	sc.epoch = 0
 }
 
-// next starts a new scratch lifetime: every previous mark becomes
-// stale. On uint32 wraparound the mark arrays are rewritten once so no
-// ancient stamp can collide with a live epoch.
+// next starts a new scratch lifetime and returns its epoch ep: the query
+// may stamp with ep and ep+1, and every previous mark becomes stale.
+// Before the pair would reach uint32 wraparound the mark arrays are
+// rewritten once, so no ancient stamp can collide with a live epoch.
 func (sc *Scratch) next() uint32 {
-	sc.epoch++
-	if sc.epoch == 0 {
+	if sc.epoch >= math.MaxUint32-1 {
 		clear(sc.mark)
 		clear(sc.regionMark)
-		sc.epoch = 1
+		sc.epoch = 0
 	}
-	return sc.epoch
+	sc.epoch += 2
+	return sc.epoch - 1
 }
