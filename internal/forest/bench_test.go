@@ -5,6 +5,7 @@ import (
 
 	"nwforest/internal/gen"
 	"nwforest/internal/graph"
+	"nwforest/internal/unionfind"
 	"nwforest/internal/verify"
 )
 
@@ -23,16 +24,16 @@ func unionColors(g *graph.Graph) []int32 {
 // come out spanning, so a query between two vertices of different trees
 // of a sparse class is the common not-found case.
 func greedyForestColors(g *graph.Graph, k int) []int32 {
-	classes := make([]dsu, k)
+	classes := make([]*unionfind.DSU, k)
 	for c := range classes {
-		classes[c] = newDSU(g.N())
+		classes[c] = unionfind.New(g.N())
 	}
 	colors := make([]int32, g.M())
 	for id := range colors {
 		colors[id] = verify.Uncolored
 		e := g.Edge(int32(id))
 		for c := range classes {
-			if classes[c].union(e.U, e.V) {
+			if classes[c].Union(int(e.U), int(e.V)) {
 				colors[id] = int32(c)
 				break
 			}
@@ -92,6 +93,9 @@ func TestPathQueryAllocs(t *testing.T) {
 	}
 }
 
+// pathSink keeps BenchmarkPathQuery's results live.
+var pathSink []int32
+
 // BenchmarkPathQuery times the C(e, c) probes of Algorithm 1 (every edge
 // against every other color) on two colorings: a 3-forest union, where
 // every probe finds a path (found-heavy), and a greedy 4-coloring of a
@@ -123,7 +127,7 @@ func BenchmarkPathQuery(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := qs[i%len(qs)]
-				s.PathInColorWith(sc, q.c, q.u, q.v, nil)
+				pathSink = s.PathInColorWith(sc, q.c, q.u, q.v, nil)
 			}
 			b.ReportMetric(float64(found)/float64(len(qs)), "found/query")
 		})

@@ -333,8 +333,8 @@ func (s *State) ColorsAt(v int32) []int32 {
 // guarantees. The query then costs the two search balls around u and v
 // up to the vertex where they meet (see search), not u's whole c-tree.
 // If the class has a cycle, a non-nil answer is still a simple c-colored
-// u-v path through the region, but not necessarily the shortest one,
-// and nil may be returned although such a path exists.
+// u-v path through the region, but not necessarily the one a BFS from u
+// finds, and nil may be returned although such a path exists.
 func (s *State) PathInColor(c, u, v int32, within func(int32) bool) []int32 {
 	return s.PathInColorWith(s.sc, c, u, v, within)
 }
@@ -388,8 +388,8 @@ func (s *State) hops(sc *Scratch, x, root int32) int {
 // so the first vertex both sides mark lies on the unique u-v path. That
 // path stays in the region exactly when the vertex is u, v or a within
 // vertex: otherwise it is an interior vertex neither side may expand.
-// This is the one-sided BFS's verdict at the cost of the two balls up to
-// the meeting vertex. A side that runs out of pending vertices first has
+// This is exactly the verdict of a one-sided BFS from u, at the cost of
+// the two balls up to the meeting vertex. A side that runs out of pending vertices first has
 // exhausted its reach without meeting the other: not connected.
 //
 // On success a and b are the side-A and side-B ends of the meeting edge
@@ -420,9 +420,9 @@ func (s *State) search(sc *Scratch, c, u, v int32, within func(int32) bool) (a, 
 			case tag[i]:
 				continue
 			case tag[1-i]:
-				ok := y == root[1-i] || within == nil || within(y)
+				ok = y == root[1-i] || within == nil || within(y)
 				if i == 1 {
-					x, y = y, x
+					return y, x, id, ok
 				}
 				return x, y, id, ok
 			}

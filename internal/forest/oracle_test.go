@@ -8,6 +8,7 @@ import (
 	"nwforest/internal/gen"
 	"nwforest/internal/graph"
 	"nwforest/internal/rng"
+	"nwforest/internal/unionfind"
 	"nwforest/internal/verify"
 )
 
@@ -50,47 +51,18 @@ func oraclePath(s *State, c, u, v int32, within func(int32) bool) []int32 {
 	return nil
 }
 
-// dsu is a union-find over vertex IDs, used to keep test classes acyclic.
-type dsu []int32
-
-func newDSU(n int) dsu {
-	d := make(dsu, n)
-	for i := range d {
-		d[i] = int32(i)
-	}
-	return d
-}
-
-func (d dsu) find(x int32) int32 {
-	for d[x] != x {
-		d[x] = d[d[x]]
-		x = d[x]
-	}
-	return x
-}
-
-// union joins the sets of x and y and reports whether they were apart.
-func (d dsu) union(x, y int32) bool {
-	a, b := d.find(x), d.find(y)
-	if a == b {
-		return false
-	}
-	d[a] = b
-	return true
-}
-
 // randomForestColors gives each edge a random color in [0, k) or leaves
 // it uncolored, and uncolors any edge that would close a cycle in its
 // class, so every class is a forest.
 func randomForestColors(g *graph.Graph, k int, src *rng.Source) []int32 {
-	classes := make([]dsu, k)
+	classes := make([]*unionfind.DSU, k)
 	for c := range classes {
-		classes[c] = newDSU(g.N())
+		classes[c] = unionfind.New(g.N())
 	}
 	colors := make([]int32, g.M())
 	for id := range colors {
 		c := int32(src.Intn(k+1)) - 1
-		if e := g.Edge(int32(id)); c >= 0 && !classes[c].union(e.U, e.V) {
+		if e := g.Edge(int32(id)); c >= 0 && !classes[c].Union(int(e.U), int(e.V)) {
 			c = verify.Uncolored
 		}
 		colors[id] = c
