@@ -239,10 +239,9 @@ func TestSearchAcrossEpochWraparound(t *testing.T) {
 	src := rng.New(5)
 	g := gen.ForestUnion(200, 3, 5)
 	s := stateWith(g, unionColors(g), true)
-	type query struct{ c, u, v int32 }
-	queries := make([]query, 300)
+	queries := make([]pathQuery, 300)
 	for i := range queries {
-		queries[i] = query{int32(i % 3), int32(src.Intn(g.N())), int32(src.Intn(g.N()))}
+		queries[i] = pathQuery{int32(i % 3), int32(src.Intn(g.N())), int32(src.Intn(g.N()))}
 	}
 	for _, start := range []uint32{math.MaxUint32 - 6, math.MaxUint32 - 5, math.MaxUint32 - 2, math.MaxUint32 - 1, math.MaxUint32} {
 		sc := NewScratch(g.N())
