@@ -41,7 +41,7 @@
 // Go's net/http/pprof profiling handlers on a second, private listener,
 // kept off the public API address. Per-job tracing is on by default
 // (-trace=false disables it); -trace-rounds N additionally samples every
-// Nth engine round into the trace as an instant event.
+// Nth simulated round into the trace as an instant event.
 package main
 
 import (
@@ -85,7 +85,7 @@ func main() {
 	logMaxSize := flag.Int64("log-max-size", 10<<20, "rotate -log-file when it would exceed this many bytes")
 	logMaxFiles := flag.Int("log-max-files", 3, "rotated -log-file copies to keep (.1 newest)")
 	tracing := flag.Bool("trace", true, "record a span trace per job, served at GET /jobs/{id}/trace")
-	traceRounds := flag.Int("trace-rounds", 0, "sample every Nth engine round into traces as instant events (0 = off)")
+	traceRounds := flag.Int("trace-rounds", 0, "sample every Nth simulated round into traces as instant events (0 = off)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	nodeID := flag.String("node-id", "", "this node's fleet identity; enables cluster mode (requires -peers)")
 	peersFlag := flag.String("peers", "", "full fleet membership incl. self: id=http://host:port,... (same value on every node)")

@@ -5,24 +5,9 @@ import (
 	"testing"
 
 	"nwforest"
-	"nwforest/internal/dist"
 	"nwforest/internal/gen"
 	"nwforest/internal/graph"
 )
-
-// withEngineMode runs f under the given engine-wide execution strategy,
-// restoring the default afterwards. No production path runs on
-// dist.Engine any more (the H-partition peel, the last one, steps on the
-// CSR), so the mode reaches nothing here; the switch stays so the
-// seq-vs-par legs keep pinning the contract should a protocol move back
-// onto the engine.
-func withEngineMode(t *testing.T, mode dist.Mode, f func()) {
-	t.Helper()
-	old := dist.DefaultMode
-	dist.DefaultMode = mode
-	defer func() { dist.DefaultMode = old }()
-	f()
-}
 
 func decomposeBoth(t *testing.T, g *graph.Graph, opts nwforest.Options, alphaStar int) (*nwforest.Decomposition, *nwforest.Decomposition) {
 	t.Helper()
@@ -63,23 +48,11 @@ func checkPhasesSumToRounds(t *testing.T, label string, d *nwforest.Decompositio
 
 // TestDecomposeDeterministic pins the determinism contract at the public
 // API: for a fixed Options.Seed, Decompose and DecomposeBE return
-// identical Colors, Rounds and Phases across repeated runs and under
-// either engine mode (see withEngineMode).
+// identical Colors, Rounds and Phases across repeated runs.
 func TestDecomposeDeterministic(t *testing.T) {
 	g := gen.ForestUnion(400, 5, 13)
 	opts := nwforest.Options{Alpha: 5, Eps: 0.5, Seed: 99}
 
-	var seqD, seqBE, parD, parBE *nwforest.Decomposition
-	withEngineMode(t, dist.Sequential, func() {
-		seqD, seqBE = decomposeBoth(t, g, opts, 5)
-	})
-	withEngineMode(t, dist.Parallel, func() {
-		parD, parBE = decomposeBoth(t, g, opts, 5)
-	})
-	checkSameDecomposition(t, "Decompose seq vs par", seqD, parD)
-	checkSameDecomposition(t, "DecomposeBE seq vs par", seqBE, parBE)
-
-	// Repeated runs under the default mode are also identical.
 	d1, be1 := decomposeBoth(t, g, opts, 5)
 	d2, be2 := decomposeBoth(t, g, opts, 5)
 	checkSameDecomposition(t, "Decompose repeat", d1, d2)

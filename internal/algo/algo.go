@@ -344,7 +344,7 @@ func Run(ctx context.Context, g *graph.Graph, req Request) (*Result, error) {
 	// A progress hook riding on ctx (dist.WithProgress — the service's
 	// per-job SSE stream) observes this run's cost as it accrues; a span
 	// observer (dist.WithSpans — the service's per-job trace recorder)
-	// additionally sees traffic charges and sampled engine rounds.
+	// additionally sees traffic charges and sampled simulated rounds.
 	progress, spans := dist.ObserversFromContext(ctx)
 	cost.SetProgress(progress)
 	cost.SetSpans(spans)

@@ -43,11 +43,11 @@ type Algo2Options struct {
 	// vertices (sequential below it), 1 forces the sequential path, any
 	// larger value forces a pool of that size. Every setting produces
 	// bit-identical results — same colors, same leftover order, same
-	// stats — so Workers only affects wall-clock time (the dist.Engine
-	// contract). See the package documentation for why: same-class
-	// clusters of the network decomposition are at G-distance > 2(R+R'),
-	// so their radius-(R+R') balls — which contain every read and write
-	// of a cluster's CUT + augmentation — are vertex-disjoint.
+	// stats — so Workers only affects wall-clock time. See the package
+	// documentation for why: same-class clusters of the network
+	// decomposition are at G-distance > 2(R+R'), so their radius-(R+R')
+	// balls — which contain every read and write of a cluster's CUT +
+	// augmentation — are vertex-disjoint.
 	Workers int
 	// PhaseNs, when non-nil, receives wall-clock phase timings of this
 	// run (benchmark instrumentation; no effect on the result).
@@ -60,15 +60,15 @@ type Algo2Options struct {
 }
 
 // Algo2PhaseNs reports where RunAlgorithm2's wall-clock time went:
-// the (sequential, engine-parallel) network decomposition versus the
-// per-cluster CUT + augmentation phase that Workers parallelizes.
+// the (sequential) network decomposition versus the per-cluster CUT +
+// augmentation phase that Workers parallelizes.
 type Algo2PhaseNs struct {
 	NetdecompNs int64
 	ClustersNs  int64
 }
 
 // parallelClusterThreshold is the vertex count above which Workers == 0
-// goes parallel (aligned with dist.Engine's auto threshold).
+// goes parallel.
 const parallelClusterThreshold = 2048
 
 // Algo2Stats instruments a run for the experiment harness.

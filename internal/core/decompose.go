@@ -70,7 +70,7 @@ type FDResult struct {
 // the H-partition. Rounds are charged to cost.
 //
 // ctx is observed at phase boundaries and inside the phase loops (per
-// engine round, per Algorithm 2 cluster); cancellation aborts the run
+// simulated round, per Algorithm 2 cluster); cancellation aborts the run
 // promptly with ctx.Err() instead of burning the retry budget.
 func ForestDecomposition(ctx context.Context, g *graph.Graph, opts FDOptions, cost *dist.Cost) (*FDResult, error) {
 	if opts.Alpha < 1 {

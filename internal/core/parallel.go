@@ -8,14 +8,14 @@ import (
 )
 
 // a2pool is the bounded persistent worker pool of the parallel cluster
-// phase, mirroring the dist.Engine pattern: one goroutine per worker for
-// the pool's lifetime, woken per batch by a send on its own channel and
-// joined with a WaitGroup; result and panic slots are preallocated, so a
-// steady-state batch costs channel operations and atomics — no goroutine
-// spawns, no heap allocations.
+// phase: one goroutine per worker for the pool's lifetime, woken per
+// batch by a send on its own channel and joined with a WaitGroup; result
+// and panic slots are preallocated, so a steady-state batch costs
+// channel operations and atomics — no goroutine spawns, no heap
+// allocations.
 //
-// Unlike the engine's contiguous vertex shards, cluster sizes are wildly
-// skewed, so jobs are claimed dynamically by an atomic fetch-add index.
+// Cluster sizes are wildly skewed, so jobs are claimed dynamically by an
+// atomic fetch-add index rather than split into contiguous shards.
 // Job ASSIGNMENT is therefore scheduling-dependent — which is safe
 // precisely because job bodies only touch disjoint state (each worker
 // has its own arena; each cluster owns its footprint).
@@ -66,8 +66,8 @@ func newA2Pool(workers int, st *forest.State) *a2pool {
 
 // runBatch runs body(worker, idx) for every idx in [0, njobs), blocking
 // until all jobs finish. A panic in any job is re-raised on the calling
-// goroutine — lowest worker index first, matching dist.Engine — so a
-// caller's recover sees it regardless of execution mode. The pool stays
+// goroutine — lowest worker index first — so a caller's recover sees it
+// regardless of execution mode. The pool stays
 // usable after a re-raised panic (the slots are cleared first), though
 // the state the jobs were mutating generally is not.
 func (p *a2pool) runBatch(njobs int, body func(w, idx int)) {

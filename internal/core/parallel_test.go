@@ -115,8 +115,8 @@ func TestParallelListFD(t *testing.T) {
 	}
 }
 
-// TestA2PoolPanicPropagation mirrors the dist.Engine contract: a panic
-// in a pooled job is re-raised on the calling goroutine, and the pool
+// TestA2PoolPanicPropagation pins the pool's panic contract: a panic in
+// a pooled job is re-raised on the calling goroutine, and the pool
 // survives for a subsequent batch.
 func TestA2PoolPanicPropagation(t *testing.T) {
 	g := gen.Grid(4, 4)

@@ -1,8 +1,14 @@
 package dist
 
+import "errors"
+
+// ErrMaxRounds is wrapped by the error a simulated protocol returns when
+// its round budget runs out before every vertex has halted.
+var ErrMaxRounds = errors.New("dist: max rounds exhausted before all programs halted")
+
 // Phase is one named line of a cost breakdown: the rounds a phase of an
 // algorithm consumed, plus CONGEST-style traffic counters for phases that
-// ran on the Engine (zero for purely local phases).
+// simulate message passing (zero for purely local phases).
 type Phase struct {
 	// Name labels the phase, e.g. "hpartition/peel".
 	Name string `json:"name"`
@@ -18,8 +24,7 @@ type Phase struct {
 // phase label in first-charge order. The zero value is ready to use, and
 // every method is safe on a nil receiver (a nil *Cost records nothing),
 // so callers that do not care about accounting may pass nil. A Cost is
-// not safe for concurrent use; the Engine aggregates its own counters
-// internally and charges them from a single goroutine.
+// not safe for concurrent use: only the goroutine that owns it charges it.
 type Cost struct {
 	phases []Phase
 	index  map[string]int

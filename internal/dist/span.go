@@ -7,26 +7,25 @@ import "context"
 // progress events), a SpanObserver receives every cost-accounting
 // callback the tracer needs to reconstruct a timeline — phase round
 // charges, CONGEST traffic charges, and (when the observer opts in by
-// sampling them) individual engine rounds. internal/trace implements it;
-// the algorithms never see it.
+// sampling them) individual simulated rounds. internal/trace implements
+// it; the algorithms never see it.
 //
 // All callbacks run synchronously on the charging goroutine, so
 // implementations must be cheap, must not call back into the Cost, and
 // must be safe for use from whichever single goroutine owns the Cost at
-// a time (the engine's round loop for EngineRound). A nil observer is
-// never invoked; the disabled path costs one pointer check per charge
-// and one per engine round.
+// a time (the simulation's round loop for EngineRound). A nil observer
+// is never invoked; the disabled path costs one pointer check per charge
+// and one per simulated round.
 type SpanObserver interface {
 	// PhaseCharged observes a Charge/ChargeMax to a phase: the phase's
 	// name, its round total so far, and the Cost's overall round total.
 	PhaseCharged(phase string, phaseRounds, totalRounds int)
 	// TrafficCharged observes a ChargeMessages to a phase.
 	TrafficCharged(phase string, msgs, bits int64)
-	// EngineRound observes one completed Engine round (round starts at
-	// 0). The engine calls it for every round; observers that only want
-	// a sample must subsample internally. hpartition.Partition, which
-	// steps the peel on the CSR instead of the Engine, calls it once per
-	// stepped round too; a stalled peel charges its idle rounds without
+	// EngineRound observes one completed round of a simulated protocol
+	// (round starts at 0). hpartition.Partition calls it once per round
+	// it steps; observers that only want a sample must subsample
+	// internally. A stalled peel charges its idle rounds without
 	// stepping them, so the observer never sees those.
 	EngineRound(round int)
 }
@@ -42,8 +41,8 @@ func (c *Cost) SetSpans(o SpanObserver) {
 
 // WithSpans returns a context carrying o, for handing a span observer
 // down to code that creates its own Cost (algo.Run installs the
-// context's observer on the Cost it allocates per run, and Engine.Run
-// reports its rounds to it). o must be non-nil. A Progress hook already
+// context's observer on the Cost it allocates per run, and
+// hpartition.Partition reports its rounds to it). o must be non-nil. A Progress hook already
 // carried by ctx is preserved (both observers share one context key —
 // see observerKey).
 func WithSpans(ctx context.Context, o SpanObserver) context.Context {

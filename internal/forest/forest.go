@@ -11,19 +11,13 @@ import (
 
 // State is a partial edge coloring of a graph with per-color adjacency.
 //
-// Two incidence representations exist behind one API. The compact
-// representation stores per-vertex slices of (color, edge-id) slots —
-// int32 throughout, arena-backed on bulk construction — and is selected
-// automatically for graphs whose arc count fits int32 (2M < 2^31, i.e.
-// every graph this module can currently index). The map representation
-// (one map[color][]edge per vertex) is the original reference
-// implementation; the `forestmap` build tag forces it so CI can
-// cross-check the two. Both keep each (vertex, color) edge list in
-// exactly the same order (append on color, swap-delete on erase), so
-// every query — and therefore every decomposition built on the queries —
-// is bit-identical across representations. Only ColorsAt's order
-// differs (map iteration order is randomized); callers must not rely
-// on it.
+// The incidence index stores per-vertex slices of (color, edge-id) slots,
+// int32 throughout and arena-backed on bulk construction. Each
+// (vertex, color) edge list keeps a contractual order — append on color,
+// swap-delete on erase, and FromColors builds the order an id-ascending
+// SetColor loop would — because traversal order feeds the augmenting
+// search, so every decomposition built on the queries depends on it.
+// ColorsAt's order is unspecified; callers must not rely on it.
 //
 // Concurrency: the convenience query methods share the State's built-in
 // Scratch, so a State is not safe for concurrent use in general. The
@@ -34,77 +28,46 @@ import (
 type State struct {
 	g      *graph.Graph
 	colors []int32
-	// Exactly one of adjMap/adjC is non-nil; see the type comment.
-	adjMap []map[int32][]int32
-	adjC   [][]colorSlot
+	adj    [][]colorSlot
 
 	sc *Scratch
 }
 
-// colorSlot is one color's incidence list at a vertex, in the compact
-// representation. The number of distinct colors at a vertex is at most
-// min(degree, palette size), so a linear scan over slots beats a map
-// lookup at decomposition palette sizes.
+// colorSlot is one color's incidence list at a vertex. The number of
+// distinct colors at a vertex is at most min(degree, palette size), so a
+// linear scan over slots beats a map lookup at decomposition palette
+// sizes.
 type colorSlot struct {
 	c   int32
 	ids []int32
 }
 
-// UseCompact reports whether New(g) selects the compact representation:
-// the graph's arc count must fit int32 and the forestmap build tag must
-// be absent.
-func UseCompact(g *graph.Graph) bool {
-	return !forceMapRep && 2*int64(g.M()) < int64(1)<<31
-}
-
 // New returns an all-uncolored state over g.
 func New(g *graph.Graph) *State {
-	return newState(g, UseCompact(g))
-}
-
-func newState(g *graph.Graph, compact bool) *State {
 	s := &State{
 		g:      g,
 		colors: make([]int32, g.M()),
+		adj:    make([][]colorSlot, g.N()),
 		sc:     NewScratch(g.N()),
 	}
 	for i := range s.colors {
 		s.colors[i] = verify.Uncolored
 	}
-	if compact {
-		s.adjC = make([][]colorSlot, g.N())
-	} else {
-		s.adjMap = make([]map[int32][]int32, g.N())
-		for v := range s.adjMap {
-			s.adjMap[v] = make(map[int32][]int32)
-		}
-	}
 	return s
 }
-
-// Compact reports which representation this State uses.
-func (s *State) Compact() bool { return s.adjC != nil }
 
 // FromColors returns a state initialized with the given coloring (which
-// is copied). On the compact representation the incidence index is built
-// in bulk from two arena allocations instead of one append chain per
-// SetColor, which matters to callers that rebuild a State per repair
-// (the dynamic maintenance ladder).
+// is copied). The incidence index is built in bulk from two arena
+// allocations instead of one append chain per SetColor, which matters to
+// callers that rebuild a State per repair (the dynamic maintenance
+// ladder).
 func FromColors(g *graph.Graph, colors []int32) *State {
 	s := New(g)
-	if s.adjC != nil {
-		s.bulkLoad(colors)
-		return s
-	}
-	for id, c := range colors {
-		if c != verify.Uncolored {
-			s.SetColor(int32(id), c)
-		}
-	}
+	s.bulkLoad(colors)
 	return s
 }
 
-// bulkLoad builds the compact incidence index for the given coloring.
+// bulkLoad builds the incidence index for the given coloring.
 // The resulting per-(vertex, color) lists are identical — same contents,
 // same order — to those an id-ascending SetColor loop would build:
 // slots appear in first-occurrence order, ids ascend within a slot.
@@ -187,7 +150,7 @@ func (s *State) bulkLoad(colors []int32) {
 				}
 			}
 		}
-		s.adjC[v] = slotArena[start:len(slotArena):len(slotArena)]
+		s.adj[v] = slotArena[start:len(slotArena):len(slotArena)]
 	}
 }
 
@@ -229,73 +192,50 @@ func (s *State) SetColor(id, c int32) {
 }
 
 func (s *State) addIncidence(v, c, id int32) {
-	if s.adjC != nil {
-		slots := s.adjC[v]
-		for i := range slots {
-			if slots[i].c == c {
-				slots[i].ids = append(slots[i].ids, id)
-				return
-			}
+	slots := s.adj[v]
+	for i := range slots {
+		if slots[i].c == c {
+			slots[i].ids = append(slots[i].ids, id)
+			return
 		}
-		s.adjC[v] = append(slots, colorSlot{c: c, ids: append(make([]int32, 0, 2), id)})
-		return
 	}
-	s.adjMap[v][c] = append(s.adjMap[v][c], id)
+	s.adj[v] = append(slots, colorSlot{c: c, ids: append(make([]int32, 0, 2), id)})
 }
 
 func (s *State) removeIncidence(v, c, id int32) {
-	if s.adjC != nil {
-		slots := s.adjC[v]
-		for i := range slots {
-			if slots[i].c != c {
-				continue
+	slots := s.adj[v]
+	for i := range slots {
+		if slots[i].c != c {
+			continue
+		}
+		ids := slots[i].ids
+		for j, x := range ids {
+			if x == id {
+				ids[j] = ids[len(ids)-1]
+				ids = ids[:len(ids)-1]
+				break
 			}
-			ids := slots[i].ids
-			for j, x := range ids {
-				if x == id {
-					ids[j] = ids[len(ids)-1]
-					ids = ids[:len(ids)-1]
-					break
-				}
-			}
-			if len(ids) == 0 {
-				last := len(slots) - 1
-				slots[i] = slots[last]
-				slots[last] = colorSlot{} // release the ids backing array
-				s.adjC[v] = slots[:last]
-			} else {
-				slots[i].ids = ids
-			}
-			return
+		}
+		if len(ids) == 0 {
+			last := len(slots) - 1
+			slots[i] = slots[last]
+			slots[last] = colorSlot{} // release the ids backing array
+			s.adj[v] = slots[:last]
+		} else {
+			slots[i].ids = ids
 		}
 		return
-	}
-	lst := s.adjMap[v][c]
-	for i, x := range lst {
-		if x == id {
-			lst[i] = lst[len(lst)-1]
-			lst = lst[:len(lst)-1]
-			break
-		}
-	}
-	if len(lst) == 0 {
-		delete(s.adjMap[v], c)
-	} else {
-		s.adjMap[v][c] = lst
 	}
 }
 
 // incident returns the (vertex, color) edge list without copying.
 func (s *State) incident(v, c int32) []int32 {
-	if s.adjC != nil {
-		for i := range s.adjC[v] {
-			if s.adjC[v][i].c == c {
-				return s.adjC[v][i].ids
-			}
+	for i := range s.adj[v] {
+		if s.adj[v][i].c == c {
+			return s.adj[v][i].ids
 		}
-		return nil
 	}
-	return s.adjMap[v][c]
+	return nil
 }
 
 // IncidentInColor returns the IDs of c-colored edges incident to v.
@@ -307,17 +247,10 @@ func (s *State) DegreeInColor(v, c int32) int { return len(s.incident(v, c)) }
 
 // ColorsAt returns the set of colors present at v, in unspecified order.
 func (s *State) ColorsAt(v int32) []int32 {
-	if s.adjC != nil {
-		slots := s.adjC[v]
-		out := make([]int32, 0, len(slots))
-		for i := range slots {
-			out = append(out, slots[i].c)
-		}
-		return out
-	}
-	out := make([]int32, 0, len(s.adjMap[v]))
-	for c := range s.adjMap[v] {
-		out = append(out, c)
+	slots := s.adj[v]
+	out := make([]int32, 0, len(slots))
+	for i := range slots {
+		out = append(out, slots[i].c)
 	}
 	return out
 }

@@ -80,10 +80,13 @@ func withParallels(g *graph.Graph) *graph.Graph {
 	return graph.MustNew(g.N(), edges)
 }
 
-// stateWith builds a State of the requested representation by SetColor
-// in edge-ID order.
-func stateWith(g *graph.Graph, colors []int32, compact bool) *State {
-	s := newState(g, compact)
+// stateWith builds a State with the given coloring by FromColors (bulk)
+// or by SetColor in edge-ID order.
+func stateWith(g *graph.Graph, colors []int32, bulk bool) *State {
+	if bulk {
+		return FromColors(g, colors)
+	}
+	s := New(g)
 	for id, c := range colors {
 		if c != verify.Uncolored {
 			s.SetColor(int32(id), c)
@@ -118,16 +121,17 @@ func checkQuery(t *testing.T, s *State, sc *Scratch, c, u, v int32, within func(
 }
 
 // TestSearchMatchesOracle compares the bidirectional search with the
-// one-sided BFS on random multigraph forests under both representations
-// and random regions, thousands of queries on one reused Scratch.
-// Interleaved component queries share the Scratch's epochs.
+// one-sided BFS on random multigraph forests, built both by FromColors
+// and by SetColor, under random regions: thousands of queries on one
+// reused Scratch. Interleaved component queries share the Scratch's
+// epochs.
 func TestSearchMatchesOracle(t *testing.T) {
 	const k = 3
-	for _, compact := range []bool{true, false} {
+	for _, bulk := range []bool{true, false} {
 		for seed := uint64(1); seed <= 4; seed++ {
 			src := rng.New(seed)
 			g := withParallels(randomGraph(300, 900, seed))
-			s := stateWith(g, randomForestColors(g, k, src), compact)
+			s := stateWith(g, randomForestColors(g, k, src), bulk)
 			sc := NewScratch(g.N())
 			for _, p := range []float64{0.5, 0.8, 0.95, 1} {
 				within := randomRegion(g.N(), p, src)
@@ -215,13 +219,13 @@ func TestSearchRegionCases(t *testing.T) {
 			}
 			within = func(x int32) bool { return !out[x] }
 		}
-		for _, compact := range []bool{true, false} {
-			s := stateWith(g, colors, compact)
+		for _, bulk := range []bool{true, false} {
+			s := stateWith(g, colors, bulk)
 			if got := s.PathInColor(tc.c, tc.u, tc.v, within); !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("%s (compact=%v): PathInColor = %v, want %v", tc.name, compact, got, tc.want)
+				t.Errorf("%s (bulk=%v): PathInColor = %v, want %v", tc.name, bulk, got, tc.want)
 			}
 			if got := s.ConnectedInColor(tc.c, tc.u, tc.v, within); got != (tc.want != nil) {
-				t.Errorf("%s (compact=%v): ConnectedInColor = %v", tc.name, compact, got)
+				t.Errorf("%s (bulk=%v): ConnectedInColor = %v", tc.name, bulk, got)
 			}
 			if oracle := oraclePath(s, tc.c, tc.u, tc.v, within); !reflect.DeepEqual(oracle, tc.want) {
 				t.Errorf("%s: the oracle itself answers %v", tc.name, oracle)
@@ -238,7 +242,7 @@ func TestSearchRegionCases(t *testing.T) {
 func TestSearchAcrossEpochWraparound(t *testing.T) {
 	src := rng.New(5)
 	g := gen.ForestUnion(200, 3, 5)
-	s := stateWith(g, unionColors(g), true)
+	s := FromColors(g, unionColors(g))
 	queries := make([]pathQuery, 300)
 	for i := range queries {
 		queries[i] = pathQuery{int32(i % 3), int32(src.Intn(g.N())), int32(src.Intn(g.N()))}

@@ -10,9 +10,9 @@ import (
 
 // refAdjacency builds the adjacency the pre-CSR layout produced: one
 // slice per vertex, arcs appended in edge-ID order. The CSR layout must
-// reproduce it exactly — same arcs, same port order — because the dist
-// engine's port numbering and every recorded round/traffic count depend
-// on it.
+// reproduce it exactly — same arcs, same port order — because the
+// peel's port numbering and every recorded round/traffic count depend on
+// it.
 func refAdjacency(n int, edges []graph.Edge) [][]graph.Arc {
 	adj := make([][]graph.Arc, n)
 	for id, e := range edges {

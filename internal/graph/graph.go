@@ -126,7 +126,7 @@ func (g *Graph) Degree(v int32) int { return int(g.offsets[v+1] - g.offsets[v]) 
 // Offsets returns the CSR offset array: len N+1, with the arcs of v
 // occupying Arcs()[Offsets()[v]:Offsets()[v+1]]. Offsets()[N] == 2*M.
 // Callers must not modify it. Consumers that index per-port state (the
-// dist engine's mailboxes, flat per-vertex scratch) can share this array
+// H-partition peel, flat per-vertex scratch) can share this array
 // instead of rebuilding their own prefix sums.
 func (g *Graph) Offsets() []int32 { return g.offsets }
 

@@ -8,8 +8,9 @@
 // O(log n / eps) rounds. The peeling is simulated round by round on the
 // graph's CSR arrays, charging the rounds and the 1-bit notifications of
 // the message-passing protocol; the tests check it against that protocol
-// run as a program on dist.Engine. The corollaries are O(1)- or
-// O(log* n)-round local computations charged to the cost tracker.
+// run as per-vertex programs over per-port mailboxes. The corollaries
+// are O(1)- or O(log* n)-round local computations charged to the cost
+// tracker.
 package hpartition
 
 import (
@@ -48,7 +49,7 @@ func Threshold(alphaStar int, eps float64) int {
 // removed and sends a 1-bit notification on each of its ports. Only the
 // previous round's removals and their neighbors are touched, so the
 // whole peel is O(n + m). A SpanObserver carried by ctx sees each
-// stepped round through EngineRound, as it would an engine round.
+// stepped round through EngineRound.
 func Partition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist.Cost) (*Result, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("hpartition: negative threshold %d", t)
@@ -114,7 +115,7 @@ func Partition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist
 		rounds++
 	}
 	// Every removed vertex sent one notification per port in the round it
-	// was removed: the engine's count, taken at send time.
+	// was removed: the protocol's count, taken at send time.
 	var msgs int64
 	for _, v := range queue {
 		msgs += int64(off[v+1] - off[v])
@@ -128,8 +129,8 @@ func Partition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist
 		return nil, ctxErr
 	}
 	if stuck {
-		// dist.Engine's wording for an exhausted budget: the tests hold
-		// this peel to the same program run on the engine.
+		// The protocol's wording for an exhausted budget: the tests hold
+		// this peel to the same program run round by round.
 		return nil, fmt.Errorf("hpartition: peeling stuck with t=%d: dist: %d of %d programs still running after %d rounds: %w",
 			t, n-len(queue), n, maxRounds, dist.ErrMaxRounds)
 	}

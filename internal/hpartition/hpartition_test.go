@@ -75,12 +75,19 @@ func TestPartitionStuck(t *testing.T) {
 	}
 }
 
-// roundRecorder is a span observer that records every engine round.
+// roundRecorder is a span observer that records every round it sees.
 type roundRecorder struct{ rounds []int }
 
 func (*roundRecorder) PhaseCharged(string, int, int)       {}
 func (*roundRecorder) TrafficCharged(string, int64, int64) {}
 func (r *roundRecorder) EngineRound(round int)             { r.rounds = append(r.rounds, round) }
+
+// nopSpans is a span observer that ignores every callback.
+type nopSpans struct{}
+
+func (nopSpans) PhaseCharged(string, int, int)       {}
+func (nopSpans) TrafficCharged(string, int64, int64) {}
+func (nopSpans) EngineRound(int)                     {}
 
 // TestPartitionStallChargesBudget pins the stall rule: K10 with t=3
 // removes nobody in round 0, so no later round can remove anybody. The
@@ -138,20 +145,55 @@ func TestPartitionAllocs(t *testing.T) {
 	}
 }
 
+// TestPartitionObserverZeroAlloc pins the observer's overhead contract
+// on the production peel: a 4000-vertex path at t=1 peels from both ends
+// in 2000 rounds, each reported to the span observer, and attaching a
+// no-op observer must not add a single allocation to the peel.
+func TestPartitionObserverZeroAlloc(t *testing.T) {
+	g := gen.LineMultigraph(4000, 1)
+	budget := 4*g.N() + 10
+	rec := &roundRecorder{}
+	res, err := Partition(dist.WithSpans(context.Background(), rec), g, 1, budget, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumClasses != 2000 || len(rec.rounds) != res.NumClasses {
+		t.Fatalf("peeled in %d rounds with %d observed, want 2000 of both", res.NumClasses, len(rec.rounds))
+	}
+	allocs := func(ctx context.Context) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Partition(ctx, g, 1, budget, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain := allocs(context.Background())
+	observed := allocs(dist.WithSpans(context.Background(), nopSpans{}))
+	if observed != plain {
+		t.Fatalf("the peel made %.0f allocations with an observer attached, %.0f without", observed, plain)
+	}
+}
+
 // BenchmarkPartition times Partition plus ForestDecomposition (the be
 // baseline without its verification) on the be-road graph, which peels
-// in 3 rounds, and on a forest union that peels in 10.
+// in 3 rounds, on a forest union that peels in 10, and on a path that
+// peels in 2000 rounds, each reported to a no-op span observer.
 func BenchmarkPartition(b *testing.B) {
 	for _, c := range []struct {
-		name string
-		g    *graph.Graph
-		t    int
+		name     string
+		g        *graph.Graph
+		t        int
+		observed bool
 	}{
-		{"road-192x192/t=7", gen.RoadNetwork(192, 192, 1), 7},
-		{"forest-union-4/t=5", gen.ForestUnion(1<<16, 4, 1), 5},
+		{"road-192x192/t=7", gen.RoadNetwork(192, 192, 1), 7, false},
+		{"forest-union-4/t=5", gen.ForestUnion(1<<16, 4, 1), 5, false},
+		{"line-4000/t=1/observed", gen.LineMultigraph(4000, 1), 1, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			ctx := context.Background()
+			if c.observed {
+				ctx = dist.WithSpans(ctx, nopSpans{})
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := Partition(ctx, c.g, c.t, 16*c.g.N()+64, nil)

@@ -13,59 +13,113 @@ import (
 	"nwforest/internal/graph"
 )
 
-// peelMsg is the "I was removed this round" notification. It carries no
-// payload, so its CONGEST size is a single bit.
-type peelMsg struct{}
-
-// Bits implements dist.Sized.
-func (peelMsg) Bits() int { return 1 }
-
 // peelProg is the per-vertex peeling program: the H-partition peel as a
-// genuine message-passing protocol on dist.Engine, the reference the CSR
-// peel in Partition is checked against.
+// genuine message-passing protocol, the reference the CSR peel in
+// Partition is checked against.
 type peelProg struct {
-	t       int
-	remDeg  int
-	removed bool
-	class   int32
+	t      int
+	remDeg int
+	class  int32
 }
 
-func (p *peelProg) Step(env *dist.Env, recv []dist.Message) ([]dist.Message, bool) {
-	if p.removed {
-		return nil, true
-	}
-	for _, m := range recv {
-		// Count only actual peel notifications: one per port, so a
-		// neighbor reached by k parallel edges decrements remDeg k times,
-		// matching the edge-degree convention of remDeg.
-		if _, ok := m.(peelMsg); ok {
+// step runs one round at the program's vertex, where recv[p] reports
+// whether a removal notification arrived on port p. It reports whether
+// the vertex is removed this round; a removed vertex sends a
+// notification on every port and halts in the same round.
+func (p *peelProg) step(round int, recv []bool) bool {
+	for _, got := range recv {
+		// One notification per port, so a neighbor reached by k parallel
+		// edges decrements remDeg k times, matching the edge-degree
+		// convention of remDeg.
+		if got {
 			p.remDeg--
 		}
 	}
-	if p.remDeg <= p.t {
-		p.removed = true
-		p.class = int32(env.Round)
-		// The engine delivers messages returned alongside done=true, so
-		// the removal notification and the halt fit in the same round.
-		return env.Broadcast(peelMsg{}), true
+	if p.remDeg > p.t {
+		return false
 	}
-	return nil, false
+	p.class = int32(round)
+	return true
 }
 
-// enginePartition is Partition run as peelProg on dist.Engine, charging
-// the rounds and traffic the engine reports.
-func enginePartition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist.Cost) (*Result, error) {
+// peelMsgBits is the CONGEST size of a removal notification: it carries
+// no payload, so a single bit.
+const peelMsgBits = 1
+
+// runProtocol is a synchronous round loop over progs, one per vertex of
+// g. Before each round it checks ctx; in the round it steps every live
+// program with the notifications that arrived on its ports, delivers
+// each notification a removed vertex sends along its edge to the port at
+// the other end, and counts it when it is sent; after the round it
+// reports the round to ctx's span observer. It returns the rounds run
+// and the messages and bits sent, with an error wrapping
+// dist.ErrMaxRounds when maxRounds rounds pass before every program
+// halts. A graph without vertices halts in 0 rounds.
+func runProtocol(ctx context.Context, g *graph.Graph, progs []peelProg, maxRounds int) (rounds int, msgs, bits int64, err error) {
+	n := g.N()
+	if n == 0 {
+		return 0, 0, 0, nil
+	}
+	off, arcs := g.Offsets(), g.Arcs()
+	// twin[s] is the mailbox slot of arc s's edge at its other endpoint.
+	twin := make([]int32, len(arcs))
+	first := make([]int32, g.M())
+	for i := range first {
+		first[i] = -1
+	}
+	for s, a := range arcs {
+		if o := first[a.Edge]; o < 0 {
+			first[a.Edge] = int32(s)
+		} else {
+			twin[s], twin[o] = o, int32(s)
+		}
+	}
+	inbox, outbox := make([]bool, len(arcs)), make([]bool, len(arcs))
+	done := make([]bool, n)
+	running := n
+	spans := dist.SpansFromContext(ctx)
+	for round := 0; round < maxRounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return round, msgs, bits, err
+		}
+		for v := range progs {
+			if done[v] || !progs[v].step(round, inbox[off[v]:off[v+1]]) {
+				continue
+			}
+			for s := off[v]; s < off[v+1]; s++ {
+				outbox[twin[s]] = true
+				msgs++
+				bits += peelMsgBits
+			}
+			done[v] = true
+			running--
+		}
+		inbox, outbox = outbox, inbox
+		clear(outbox)
+		if spans != nil {
+			spans.EngineRound(round)
+		}
+		if running == 0 {
+			return round + 1, msgs, bits, nil
+		}
+	}
+	return maxRounds, msgs, bits, fmt.Errorf("dist: %d of %d programs still running after %d rounds: %w",
+		running, n, maxRounds, dist.ErrMaxRounds)
+}
+
+// protocolPartition is Partition run as peelProg on runProtocol,
+// charging the rounds and traffic the round loop reports.
+func protocolPartition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist.Cost) (*Result, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("hpartition: negative threshold %d", t)
 	}
-	progs := make([]*peelProg, g.N())
-	eng := dist.NewEngine(g, func(v int32) dist.Program {
-		progs[v] = &peelProg{t: t, remDeg: g.Degree(v)}
-		return progs[v]
-	})
-	rounds, err := eng.Run(ctx, maxRounds)
+	progs := make([]peelProg, g.N())
+	for v := range progs {
+		progs[v] = peelProg{t: t, remDeg: g.Degree(int32(v))}
+	}
+	rounds, msgs, bits, err := runProtocol(ctx, g, progs, maxRounds)
 	cost.Charge(rounds, "hpartition/peel")
-	cost.ChargeMessages(eng.Messages(), eng.Bits(), "hpartition/peel")
+	cost.ChargeMessages(msgs, bits, "hpartition/peel")
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return nil, ctxErr
 	}
@@ -132,14 +186,14 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// TestPartitionMatchesEngine checks the CSR peel against the
-// message-passing program on dist.Engine over a grid of graphs,
+// TestPartitionMatchesProtocol checks the CSR peel against the
+// message-passing program on runProtocol over a grid of graphs,
 // thresholds and round budgets: same classes, same charged rounds,
 // messages and bits, same error text and error identity, the same rounds
 // seen by a span observer (a stalled peel's idle rounds excepted); and,
 // where the peel succeeds, the same forest labels as orientation plus
 // OutEdges.
-func TestPartitionMatchesEngine(t *testing.T) {
+func TestPartitionMatchesProtocol(t *testing.T) {
 	cases, peeled, exhausted := 0, 0, 0
 	for _, ng := range oracleGraphs() {
 		g := ng.g
@@ -148,25 +202,25 @@ func TestPartitionMatchesEngine(t *testing.T) {
 				name := fmt.Sprintf("%s/t=%d/budget=%d", ng.name, thr, budget)
 				var wantCost, gotCost dist.Cost
 				wantObs, gotObs := &roundRecorder{}, &roundRecorder{}
-				want, wantErr := enginePartition(dist.WithSpans(context.Background(), wantObs), g, thr, budget, &wantCost)
+				want, wantErr := protocolPartition(dist.WithSpans(context.Background(), wantObs), g, thr, budget, &wantCost)
 				got, gotErr := Partition(dist.WithSpans(context.Background(), gotObs), g, thr, budget, &gotCost)
 				cases++
 				if errText(gotErr) != errText(wantErr) {
-					t.Fatalf("%s: error %q, engine %q", name, errText(gotErr), errText(wantErr))
+					t.Fatalf("%s: error %q, protocol %q", name, errText(gotErr), errText(wantErr))
 				}
 				if errors.Is(gotErr, dist.ErrMaxRounds) != errors.Is(wantErr, dist.ErrMaxRounds) {
 					t.Fatalf("%s: errors.Is(ErrMaxRounds) differs: %v vs %v", name, gotErr, wantErr)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: result %+v, engine %+v", name, got, want)
+					t.Fatalf("%s: result %+v, protocol %+v", name, got, want)
 				}
 				if !reflect.DeepEqual(gotCost.Breakdown(), wantCost.Breakdown()) {
-					t.Fatalf("%s: cost %+v, engine %+v", name, gotCost.Breakdown(), wantCost.Breakdown())
+					t.Fatalf("%s: cost %+v, protocol %+v", name, gotCost.Breakdown(), wantCost.Breakdown())
 				}
 				if len(gotObs.rounds) > len(wantObs.rounds) ||
 					!slices.Equal(gotObs.rounds, wantObs.rounds[:len(gotObs.rounds)]) ||
 					got != nil && len(gotObs.rounds) != len(wantObs.rounds) {
-					t.Fatalf("%s: observed rounds %v, engine %v", name, gotObs.rounds, wantObs.rounds)
+					t.Fatalf("%s: observed rounds %v, protocol %v", name, gotObs.rounds, wantObs.rounds)
 				}
 				if got == nil {
 					exhausted++
@@ -207,7 +261,7 @@ func checkLabels(t *testing.T, name string, g *graph.Graph, r *Result) {
 	}
 }
 
-// cancelAt is a span observer that records every engine round and
+// cancelAt is a span observer that records every round and
 // cancels its context once round k has been observed.
 type cancelAt struct {
 	roundRecorder
@@ -245,11 +299,11 @@ func peelWithCancel(peel func(context.Context, *graph.Graph, int, int, *dist.Cos
 	return canceledRun{res, err, cost.Breakdown(), obs.rounds}
 }
 
-// TestPartitionCancelMatchesEngine cancels both peels before they start
+// TestPartitionCancelMatchesProtocol cancels both peels before they start
 // and at the first, a middle and the last round a span observer sees.
 // Both must return context.Canceled with the same rounds and traffic
 // charged, after the observer saw the same rounds.
-func TestPartitionCancelMatchesEngine(t *testing.T) {
+func TestPartitionCancelMatchesProtocol(t *testing.T) {
 	for _, ng := range oracleGraphs() {
 		g := ng.g
 		for thr := 0; thr <= 14; thr += 2 {
@@ -260,19 +314,19 @@ func TestPartitionCancelMatchesEngine(t *testing.T) {
 					continue
 				}
 				name := fmt.Sprintf("%s/t=%d/cancel-at=%d", ng.name, thr, k)
-				want := peelWithCancel(enginePartition, g, thr, budget, k)
+				want := peelWithCancel(protocolPartition, g, thr, budget, k)
 				got := peelWithCancel(Partition, g, thr, budget, k)
 				if want.err != context.Canceled {
-					t.Fatalf("%s: engine returned %v, want context.Canceled", name, want.err)
+					t.Fatalf("%s: protocol returned %v, want context.Canceled", name, want.err)
 				}
 				if got.err != context.Canceled || got.res != nil {
 					t.Fatalf("%s: returned %+v, %v; want nil, context.Canceled", name, got.res, got.err)
 				}
 				if !reflect.DeepEqual(got.cost, want.cost) {
-					t.Fatalf("%s: cost %+v, engine %+v", name, got.cost, want.cost)
+					t.Fatalf("%s: cost %+v, protocol %+v", name, got.cost, want.cost)
 				}
 				if !slices.Equal(got.observed, want.observed) {
-					t.Fatalf("%s: observed rounds %v, engine %v", name, got.observed, want.observed)
+					t.Fatalf("%s: observed rounds %v, protocol %v", name, got.observed, want.observed)
 				}
 			}
 		}

@@ -16,7 +16,10 @@ import (
 // cache hits certain; individual latencies are timing-dependent but
 // the accounting identities are not.
 func TestRunAgainstLiveService(t *testing.T) {
-	svc := service.New(service.Config{Workers: 2})
+	svc, err := service.Open(service.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer svc.Close(context.Background())
 	ts := httptest.NewServer(service.NewHTTPHandler(svc))
 	defer ts.Close()
@@ -123,7 +126,10 @@ func TestSignatureStable(t *testing.T) {
 func TestRunMultiTarget(t *testing.T) {
 	var servers [2]*httptest.Server
 	for i := range servers {
-		svc := service.New(service.Config{Workers: 2})
+		svc, err := service.Open(service.Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer svc.Close(context.Background())
 		servers[i] = httptest.NewServer(service.NewHTTPHandler(svc))
 		defer servers[i].Close()

@@ -271,8 +271,8 @@ func TestServeAlgorithmDiscovery(t *testing.T) {
 
 // TestServeCancelInterruptsRealDecomposition runs a genuinely long
 // decomposition — no execHook stand-in — and cancels it over HTTP while
-// it is running. The job context is threaded down into the engine's
-// round loop, so the DELETE must surface JobCanceled promptly, orders of
+// it is running. The job context is threaded down into the simulated
+// round loops, so the DELETE must surface JobCanceled promptly, orders of
 // magnitude before the decomposition's natural completion (tens of
 // seconds at this problem size).
 func TestServeCancelInterruptsRealDecomposition(t *testing.T) {
@@ -320,8 +320,8 @@ func TestServeCancelInterruptsRealDecomposition(t *testing.T) {
 	if after.Result != nil {
 		t.Fatal("canceled job carries a result")
 	}
-	// Cancellation latency is bounded by one engine round / one Algorithm 2
-	// cluster, not by the decomposition: even race-instrumented and on a
+	// Cancellation latency is bounded by one simulated round / one
+	// Algorithm 2 cluster, not by the decomposition: even race-instrumented and on a
 	// loaded runner it lands well inside this backstop, while natural
 	// completion at n=5000 on one worker is minutes there.
 	if lat := time.Since(canceledAt); lat > 30*time.Second {

@@ -115,9 +115,9 @@ type Config struct {
 	// and GET /jobs/{id}/trace returns 404. The default (false) records
 	// a trace for every job.
 	DisableTracing bool
-	// TraceRoundEvery samples individual engine rounds into traces as
-	// instant events: every Nth round of every engine run (0, the
-	// default, records no round events — phase spans only).
+	// TraceRoundEvery samples individual simulated rounds into traces
+	// as instant events: every Nth round of every simulated protocol run
+	// (0, the default, records no round events — phase spans only).
 	TraceRoundEvery int
 	// TraceCapacity / TraceMaxBytes bound the ring of finished traces
 	// (defaults 512 entries / 8 MiB); the oldest traces are evicted
@@ -272,18 +272,6 @@ type Service struct {
 	cluster  *cluster.Cluster
 	draining atomic.Bool
 	peerCtr  peerCounters
-}
-
-// New starts a Service with cfg's worker pool running. It panics if cfg
-// enables persistence and recovery fails; use Open to handle that error
-// (New predates the durability tier and is kept for the pure in-memory
-// configuration, where no error is possible).
-func New(cfg Config) *Service {
-	s, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Open starts a Service. When cfg.DataDir is set it first recovers the
@@ -1156,15 +1144,6 @@ func (s *Service) tryIncremental(ctx context.Context, g *graph.Graph, spec JobSp
 		Rounds:     cost.Rounds(),
 		Phases:     cost.Breakdown(),
 	}}, true
-}
-
-// RunSpec runs the algorithm a spec names directly on a graph through
-// the registry. It is the dispatch point shared by tests that want the
-// cold-path result without a service; the worker pool uses the
-// context-aware runSpec so cancellation interrupts the algorithm
-// mid-phase.
-func RunSpec(g *graph.Graph, spec JobSpec) (*JobResult, error) {
-	return runSpec(context.Background(), g, spec)
 }
 
 // runSpec dispatches one job through the algorithm registry. Validation,

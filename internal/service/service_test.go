@@ -150,7 +150,10 @@ func TestStoreFileBacked(t *testing.T) {
 
 func newTestService(t *testing.T, cfg Config) *Service {
 	t.Helper()
-	svc := New(cfg)
+	svc, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -348,7 +351,7 @@ func TestAllAlgorithmsRun(t *testing.T) {
 	for _, name := range Algorithms {
 		spec := JobSpec{Algorithm: name, AlphaStar: 4,
 			Options: nwforest.Options{Alpha: 4, Eps: 0.5, Seed: 3}}
-		res, err := RunSpec(g, spec)
+		res, err := runSpec(context.Background(), g, spec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -603,7 +606,10 @@ func TestResultCacheByteBudget(t *testing.T) {
 }
 
 func TestCloseRejectsNewWork(t *testing.T) {
-	svc := New(Config{Workers: 1})
+	svc, err := Open(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	id, err := svc.Store().AddBytes([]byte("2 1\n0 1\n"), graph.FormatAuto)
 	if err != nil {
 		t.Fatal(err)

@@ -63,7 +63,7 @@ func durPtr(d time.Duration) *int64 {
 // lifecycle interval on the job track, one complete span per cost
 // phase on the phases track (ts = first charge, dur = accumulated self
 // time, args = rounds/messages/bits), and one instant event per sampled
-// engine round. The output loads directly in Perfetto (ui.perfetto.dev)
+// simulated round. The output loads directly in Perfetto (ui.perfetto.dev)
 // and chrome://tracing.
 func (r *Recorder) WriteJSON(w io.Writer) error {
 	r.mu.Lock()

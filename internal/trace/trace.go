@@ -1,6 +1,6 @@
 // Package trace is the serving stack's span recorder: a dependency-free
 // timeline of where a job's wall time went, from the HTTP request that
-// submitted it down to the individual engine rounds of the paper's
+// submitted it down to the individual simulated rounds of the paper's
 // phase-structured algorithms.
 //
 // One Recorder accompanies each job. The service adds the coarse spans
@@ -9,7 +9,7 @@
 // Recorder implements dist.SpanObserver, so every Charge/ChargeMax
 // attributes the wall time since the previous charge to the phase being
 // charged, and every ChargeMessages attaches CONGEST traffic to it.
-// Optional instant events for individual engine rounds are recorded
+// Optional instant events for individual simulated rounds are recorded
 // under a sampling knob (RoundEvery), bounded by maxRoundEvents.
 //
 // Finished traces live in a byte- and count-bounded Ring keyed by job
@@ -19,8 +19,8 @@
 // ValidateTraceEvents checks that shape and backs the golden tests.
 //
 // Tracing off means no Recorder exists at all: the charge sites and
-// every simulated round (the H-partition peel's, or dist.Engine's) pay
-// one nil check and allocate nothing.
+// every simulated round of the H-partition peel pay one nil check and
+// allocate nothing.
 package trace
 
 import (
@@ -57,7 +57,8 @@ type PhaseStat struct {
 	Bits     int64
 }
 
-// roundEvent is one sampled engine round, recorded as an instant event.
+// roundEvent is one sampled simulated round, recorded as an instant
+// event.
 type roundEvent struct {
 	at    time.Time
 	round int
@@ -88,8 +89,8 @@ type Recorder struct {
 }
 
 // NewRecorder starts a trace for the job id at start. roundEvery is the
-// engine-round sampling knob: 0 records no round events; N > 0 records
-// an instant event for every Nth round of every engine run.
+// round sampling knob: 0 records no round events; N > 0 records an
+// instant event for every Nth round of every simulated protocol run.
 func NewRecorder(id string, start time.Time, roundEvery int) *Recorder {
 	if roundEvery < 0 {
 		roundEvery = 0
@@ -195,7 +196,7 @@ func (r *Recorder) TrafficCharged(phase string, msgs, bits int64) {
 }
 
 // EngineRound implements dist.SpanObserver: when sampling is on, every
-// RoundEvery-th engine round becomes an instant event on the phase
+// RoundEvery-th simulated round becomes an instant event on the phase
 // track. The sampling check runs before the lock so tracing with
 // sampling off adds no contention to a simulated round loop.
 func (r *Recorder) EngineRound(round int) {
