@@ -42,9 +42,9 @@ func (c *Cost) SetSpans(o SpanObserver) {
 // WithSpans returns a context carrying o, for handing a span observer
 // down to code that creates its own Cost (algo.Run installs the
 // context's observer on the Cost it allocates per run, and
-// hpartition.Partition reports its rounds to it). o must be non-nil. A Progress hook already
-// carried by ctx is preserved (both observers share one context key —
-// see observerKey).
+// hpartition.Partition reports its rounds to it). o must be non-nil. A
+// Progress hook already carried by ctx is preserved (both observers
+// share one context key — see observerKey).
 func WithSpans(ctx context.Context, o SpanObserver) context.Context {
 	obs := observersFrom(ctx)
 	obs.spans = o

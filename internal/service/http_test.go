@@ -321,9 +321,10 @@ func TestServeCancelInterruptsRealDecomposition(t *testing.T) {
 		t.Fatal("canceled job carries a result")
 	}
 	// Cancellation latency is bounded by one simulated round / one
-	// Algorithm 2 cluster, not by the decomposition: even race-instrumented and on a
-	// loaded runner it lands well inside this backstop, while natural
-	// completion at n=5000 on one worker is minutes there.
+	// Algorithm 2 cluster, not by the decomposition: even
+	// race-instrumented and on a loaded runner it lands well inside this
+	// backstop, while natural completion at n=5000 on one worker is
+	// minutes there.
 	if lat := time.Since(canceledAt); lat > 30*time.Second {
 		t.Fatalf("cancellation took %v, want well under natural completion", lat)
 	}
