@@ -118,11 +118,11 @@ func requireMatchesModel(t *testing.T, label string, s *State, m *incidenceModel
 	}
 }
 
-// TestStateMatchesIncidenceModel holds State to the incidence model over
-// a random SetColor sequence, and at each checkpoint holds FromColors of
-// the current coloring to the model built by an id-ascending SetColor
-// loop.
-func TestStateMatchesIncidenceModel(t *testing.T) {
+// TestRepEquivalenceRandomOps holds State to the incidence model, the
+// reference representation, over a random SetColor sequence, and at
+// each checkpoint holds FromColors of the current coloring to the model
+// built by an id-ascending SetColor loop.
+func TestRepEquivalenceRandomOps(t *testing.T) {
 	const k = 5
 	g := randomGraph(60, 180, 11)
 	s, m := New(g), newIncidenceModel(g, nil)
@@ -138,6 +138,26 @@ func TestStateMatchesIncidenceModel(t *testing.T) {
 		colors := s.Colors()
 		requireMatchesModel(t, fmt.Sprintf("FromColors, step %d", step), FromColors(g, colors), newIncidenceModel(g, colors), k)
 	}
+}
+
+// TestFromColorsBulkMatchesIncremental holds FromColors of a random
+// coloring, and the State an id-ascending SetColor loop builds from it,
+// to the model of that loop.
+func TestFromColorsBulkMatchesIncremental(t *testing.T) {
+	const k = 6
+	g := randomGraph(80, 240, 21)
+	src := rng.New(31)
+	colors := make([]int32, g.M())
+	for i := range colors {
+		colors[i] = int32(src.Intn(k+1)) - 1 // -1 == verify.Uncolored
+	}
+	m := newIncidenceModel(g, colors)
+	requireMatchesModel(t, "FromColors", FromColors(g, colors), m, k)
+	inc := New(g)
+	for id, c := range colors {
+		inc.SetColor(int32(id), c)
+	}
+	requireMatchesModel(t, "SetColor loop", inc, m, k)
 }
 
 // TestConcurrentReadersWithScratches drives the concurrency contract the
