@@ -41,13 +41,14 @@ type Algo2Options struct {
 	// Workers bounds the goroutines of the per-cluster phase: 0 selects
 	// GOMAXPROCS on graphs with at least parallelClusterThreshold
 	// vertices (sequential below it), 1 forces the sequential path, any
-	// larger value forces a pool of that size. Every setting produces
-	// bit-identical results — same colors, same leftover order, same
-	// stats — so Workers only affects wall-clock time. See the package
-	// documentation for why: same-class clusters of the network
-	// decomposition are at G-distance > 2(R+R'), so their radius-(R+R')
-	// balls — which contain every read and write of a cluster's CUT +
-	// augmentation — are vertex-disjoint.
+	// larger value forces a pool of that size. Only CutModDepth with
+	// R ≥ 2 runs the pool; CutSampled always takes the sequential path.
+	// Every setting produces bit-identical results — same colors, same
+	// leftover order, same stats — so Workers only affects wall-clock
+	// time. Same-class clusters of the network decomposition are at
+	// G-distance > 2(R+R'), so their radius-(R+R') balls are
+	// vertex-disjoint, and after the mod-depth CUT each ball contains
+	// every read and write of its cluster's augmentation (see algo2Run).
 	Workers int
 	// PhaseNs, when non-nil, receives wall-clock phase timings of this
 	// run (benchmark instrumentation; no effect on the result).
@@ -119,10 +120,10 @@ func autoRadii(n int, eps float64) (rPrime, r int) {
 // its annulus, then colors its incident uncolored edges by local
 // augmenting sequences. Rounds are charged to cost.
 //
-// The per-cluster work of a class runs on a bounded worker pool when
-// opts.Workers permits (the paper's clusters of one class are
-// independent, and their read/write footprints are vertex-disjoint
-// balls), bit-identically to the sequential path.
+// Under CutModDepth the per-cluster work of a class runs on a bounded
+// worker pool when opts.Workers permits (the paper's clusters of one
+// class are independent, and their read/write footprints are
+// vertex-disjoint balls), bit-identically to the sequential path.
 //
 // ctx is checked once per cluster, so cancellation interrupts the
 // augmentation phase mid-class rather than only between phases.
@@ -229,7 +230,10 @@ func RunAlgorithm2(ctx context.Context, g *graph.Graph, opts Algo2Options, cost 
 		innerMark:  make([]uint32, g.N()),
 		outerMark:  make([]uint32, g.N()),
 	}
-	workers := resolveWorkers(opts.Workers, g.N())
+	workers := 1
+	if opts.Rule == CutModDepth && r >= 2 {
+		workers = resolveWorkers(opts.Workers, g.N())
+	}
 	logN := int(math.Ceil(math.Log2(float64(g.N() + 2))))
 
 	tCl := time.Now()
@@ -292,6 +296,21 @@ func resolveWorkers(opt, n int) int {
 // invariant: same-class clusters only touch st/processed/removed at
 // indices inside their own vertex-disjoint ball footprints, so parallel
 // workers never write (or read-write) a shared location.
+//
+// For st that includes the rooted forests, whose links reroot whole
+// trees: every tree an augmentation touches must lie inside the outer
+// ball. The mod-depth CUT confines it. A c-path from the inner ball
+// (radius R') to a vertex beyond the outer ball (radius R+R') climbs
+// through every distance R'+1, ..., R'+R, so its last stretch crosses
+// at least R−1 annulus edges inside one monochromatic annulus
+// component. After the cut every annulus component has height at most
+// N−1 for N = max(1, floor((R−2)/2)), so diameter at most R−4 (0 when
+// N = 1), and for R ≥ 2 no such path survives: every c-tree of an
+// inner vertex lies inside the outer ball. Sequence edges join inner
+// vertices, so cuts split and links join only such trees, and the trees
+// stay inside. Queries read the parent edges of u, v and within
+// vertices only. CutSampled confines the trees only with high
+// probability, and R = 1 not at all, so both run sequentially.
 type algo2Run struct {
 	g          *graph.Graph
 	st         *forest.State
@@ -318,8 +337,7 @@ type algo2Run struct {
 	// cluster index that claimed v this round, valid iff ownerEp[v] ==
 	// stampEp. Any doubly-claimed vertex demotes both claimants to the
 	// sequential pass — the safety net that turns the disjointness
-	// proof into a runtime check, and the correctness mechanism for
-	// CutSampled's one-hop halo writes.
+	// proof into a runtime check.
 	owner   []int32
 	ownerEp []uint32
 	stampEp uint32
@@ -340,12 +358,10 @@ type clusterJob struct {
 
 	// ball holds the radius-(R+R') ball in BFS visit order; the first
 	// innerEnd entries are the inner (radius R') ball. annulus is the
-	// sorted ball minus inner. halo (CutSampled only) is the extra
-	// one-hop shell whose incident edges a sampled cut may touch.
+	// sorted ball minus inner.
 	ball     []int32
 	innerEnd int
 	annulus  []int32
-	halo     []int32
 
 	conflicted bool
 
@@ -392,26 +408,15 @@ func (rn *algo2Run) allocEpochs(count int) uint32 {
 	return base
 }
 
-// computeBall fills job.ball/innerEnd/annulus (+halo when wantHalo) by
-// one epoch-stamped BFS from the members, classifying by distance.
-func (rn *algo2Run) computeBall(job *clusterJob, a *algo2Arena, wantHalo bool) {
-	outerR := rn.r + rn.rPrime
-	maxD := outerR
-	if wantHalo {
-		maxD++
-	}
+// computeBall fills job.ball/innerEnd/annulus by one epoch-stamped BFS
+// from the members, classifying by distance.
+func (rn *algo2Run) computeBall(job *clusterJob, a *algo2Arena) {
 	job.ball = job.ball[:0]
 	job.annulus = job.annulus[:0]
-	job.halo = job.halo[:0]
-	rn.g.BFSEpochWith(&a.bfs, job.members, maxD, func(v int32, d int) {
-		switch {
-		case d <= rn.rPrime:
-			job.ball = append(job.ball, v)
-		case d <= outerR:
-			job.ball = append(job.ball, v)
+	rn.g.BFSEpochWith(&a.bfs, job.members, rn.r+rn.rPrime, func(v int32, d int) {
+		job.ball = append(job.ball, v)
+		if d > rn.rPrime {
 			job.annulus = append(job.annulus, v)
-		default:
-			job.halo = append(job.halo, v)
 		}
 	})
 	job.innerEnd = len(job.ball) - len(job.annulus)
@@ -430,9 +435,9 @@ func (rn *algo2Run) stampMarks(job *clusterJob) {
 }
 
 // processCluster runs one cluster's CUT + augmentation, assuming its
-// marks are stamped. All writes land inside the cluster's ball (plus,
-// for CutSampled, its one-hop halo), at edges no concurrently-running
-// cluster can observe.
+// marks are stamped. Under CutModDepth all writes land inside the
+// cluster's ball, at edges and trees no concurrently-running cluster
+// can observe.
 //
 // ctx is observed once per augmentation walk: a single cluster can hold
 // nearly the whole graph (dense forest unions decompose into a handful
@@ -529,7 +534,7 @@ func (rn *algo2Run) runClassSequential(ctx context.Context, centers []int32, clu
 		job.leftover = job.leftover[:0]
 		job.stats = clusterStats{}
 		job.conflicted = false
-		rn.computeBall(&job, rn.seqArena, false)
+		rn.computeBall(&job, rn.seqArena)
 		rn.stampMarks(&job)
 		if err := rn.processCluster(ctx, &job, rn.seqArena); err != nil {
 			return err
@@ -566,14 +571,12 @@ func (rn *algo2Run) runClassParallel(ctx context.Context, centers []int32, clust
 		j.leftover = j.leftover[:0]
 		j.stats = clusterStats{}
 	}
-	wantHalo := rn.rule == CutSampled
-
 	// Phase A: ball computation, embarrassingly parallel.
 	rn.pool.runBatch(len(jobs), func(w, i int) {
 		if ctx.Err() != nil {
 			return
 		}
-		rn.computeBall(&jobs[i], rn.pool.arenas[w], wantHalo)
+		rn.computeBall(&jobs[i], rn.pool.arenas[w])
 	})
 	if err := ctx.Err(); err != nil {
 		return err
@@ -586,20 +589,14 @@ func (rn *algo2Run) runClassParallel(ctx context.Context, centers []int32, clust
 		rn.stampEp = 1
 	}
 	for i := range jobs {
-		claim := func(v int32) {
+		for _, v := range jobs[i].ball {
 			if rn.ownerEp[v] == rn.stampEp {
 				jobs[i].conflicted = true
 				jobs[rn.owner[v]].conflicted = true
-				return
+				continue
 			}
 			rn.ownerEp[v] = rn.stampEp
 			rn.owner[v] = int32(i)
-		}
-		for _, v := range jobs[i].ball {
-			claim(v)
-		}
-		for _, v := range jobs[i].halo {
-			claim(v)
 		}
 	}
 	clean := make([]int, 0, len(jobs))

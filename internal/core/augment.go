@@ -15,10 +15,7 @@ import (
 )
 
 // Step is one element (e_i, c_i) of an augmenting sequence.
-type Step struct {
-	Edge  int32
-	Color int32
-}
+type Step = forest.Step
 
 // Sequence is an augmenting sequence w.r.t. a partial list forest
 // decomposition: its first edge is uncolored, each subsequent edge lies on
@@ -283,9 +280,9 @@ func (s *Searcher) seqRadius(seq Sequence) int {
 
 // Apply performs the augmentation: every sequence edge takes its sequence
 // color (Lemma 3.1 proves the result remains a partial list forest
-// decomposition).
+// decomposition). forest.State.Recolor updates the incidence index in
+// sequence order and the rooted forests cuts-first, so by the same lemma
+// no link closes a cycle.
 func Apply(st *forest.State, seq Sequence) {
-	for _, s := range seq {
-		st.SetColor(s.Edge, s.Color)
-	}
+	st.Recolor(seq)
 }

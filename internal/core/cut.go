@@ -87,7 +87,7 @@ func annulusColors(st *forest.State, annulus []int32) []int32 {
 			}
 		}
 	}
-	// ColorsAt iterates a map; sort for determinism.
+	// ColorsAt's order is unspecified; sort for determinism.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j] < out[j-1]; j-- {
 			out[j], out[j-1] = out[j-1], out[j]

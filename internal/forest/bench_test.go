@@ -5,6 +5,7 @@ import (
 
 	"nwforest/internal/gen"
 	"nwforest/internal/graph"
+	"nwforest/internal/rng"
 	"nwforest/internal/unionfind"
 	"nwforest/internal/verify"
 )
@@ -96,31 +97,57 @@ func TestPathQueryAllocs(t *testing.T) {
 // pathSink keeps BenchmarkPathQuery's results live.
 var pathSink []int32
 
-// BenchmarkPathQuery times the C(e, c) probes of Algorithm 1 (every edge
-// against every other color) on two colorings: a 3-forest union, where
-// every probe finds a path (found-heavy), and a greedy 4-coloring of a
-// 96x96 road network, whose sparse upper classes make most probes
-// not-found.
+// deepProbes returns count color-0 probes on a one-color tree: near
+// ones pair u with the end of a random walk of up to four tree edges
+// from it, far ones pair two random vertices.
+func deepProbes(s *State, count int, near bool, seed uint64) []pathQuery {
+	g := s.Graph()
+	src := rng.New(seed)
+	qs := make([]pathQuery, count)
+	for i := range qs {
+		u, v := int32(src.Intn(g.N())), int32(src.Intn(g.N()))
+		if near {
+			v = u
+			for h := 1 + src.Intn(4); h > 0; h-- {
+				ids := s.IncidentInColor(v, 0)
+				v = g.Edge(ids[src.Intn(len(ids))]).Other(v)
+			}
+		}
+		qs[i] = pathQuery{0, u, v}
+	}
+	return qs
+}
+
+// BenchmarkPathQuery times C(e, c) probes. Two colorings take the probes
+// of Algorithm 1 (every edge against every other color): a 3-forest
+// union, where every probe finds a path (found-heavy), and a greedy
+// 4-coloring of a 96x96 road network, whose sparse upper classes make
+// most probes not-found. The deep cases probe one color on a
+// caterpillar (a 5000-vertex spine with a leaf per vertex, rooted at a
+// spine end, so depths reach 5000) with near and far vertex pairs.
 func BenchmarkPathQuery(b *testing.B) {
 	union := gen.ForestUnion(2000, 3, 1)
 	road := gen.RoadNetwork(96, 96, 1)
+	deep := caterpillar(5000, 1, 0, 1)
+	deepState := FromColors(deep, make([]int32, deep.M()))
 	for _, bc := range []struct {
-		name   string
-		g      *graph.Graph
-		colors []int32
-		k      int
+		name string
+		s    *State
+		qs   []pathQuery
 	}{
-		{"found-heavy", union, unionColors(union), 3},
-		{"not-found-heavy", road, greedyForestColors(road, 4), 4},
+		{"found-heavy", FromColors(union, unionColors(union)), edgeProbes(union, unionColors(union), 3)},
+		{"not-found-heavy", FromColors(road, greedyForestColors(road, 4)), edgeProbes(road, greedyForestColors(road, 4), 4)},
+		{"deep-near", deepState, deepProbes(deepState, 4096, true, 2)},
+		{"deep-far", deepState, deepProbes(deepState, 4096, false, 3)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			s := FromColors(bc.g, bc.colors)
-			sc := NewScratch(bc.g.N())
-			qs := edgeProbes(bc.g, bc.colors, bc.k)
-			found := 0
+			s, qs := bc.s, bc.qs
+			sc := NewScratch(s.Graph().N())
+			found, hops := 0, 0
 			for _, q := range qs {
-				if s.ConnectedInColorWith(sc, q.c, q.u, q.v, nil) {
+				if p := s.PathInColorWith(sc, q.c, q.u, q.v, nil); p != nil {
 					found++
+					hops += len(p)
 				}
 			}
 			b.ReportAllocs()
@@ -130,6 +157,47 @@ func BenchmarkPathQuery(b *testing.B) {
 				pathSink = s.PathInColorWith(sc, q.c, q.u, q.v, nil)
 			}
 			b.ReportMetric(float64(found)/float64(len(qs)), "found/query")
+			b.ReportMetric(float64(hops)/float64(max(found, 1)), "hops/found")
+		})
+	}
+}
+
+// BenchmarkSetColorChurn times the rooted-forest updates: each op cuts a
+// random colored edge (SetColor to uncolored) and links it back into its
+// color, which walks both endpoints to their roots and reroots the
+// shallower side. The colorings are BenchmarkPathQuery's forest union
+// and road network.
+func BenchmarkSetColorChurn(b *testing.B) {
+	union := gen.ForestUnion(2000, 3, 1)
+	road := gen.RoadNetwork(96, 96, 1)
+	for _, bc := range []struct {
+		name   string
+		g      *graph.Graph
+		colors []int32
+	}{
+		{"forest-union", union, unionColors(union)},
+		{"road", road, greedyForestColors(road, 4)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := FromColors(bc.g, bc.colors)
+			var ids []int32
+			for id, c := range bc.colors {
+				if c != verify.Uncolored {
+					ids = append(ids, int32(id))
+				}
+			}
+			src := rng.New(4)
+			for i := len(ids) - 1; i > 0; i-- {
+				j := src.Intn(i + 1)
+				ids[i], ids[j] = ids[j], ids[i]
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := ids[i%len(ids)]
+				s.SetColor(id, verify.Uncolored)
+				s.SetColor(id, bc.colors[id])
+			}
 		})
 	}
 }

@@ -5,6 +5,8 @@
 package forest
 
 import (
+	"slices"
+
 	"nwforest/internal/graph"
 	"nwforest/internal/verify"
 )
@@ -19,27 +21,52 @@ import (
 // search, so every decomposition built on the queries depends on it.
 // ColorsAt's order is unspecified; callers must not rely on it.
 //
+// Each color class also carries a rooted spanning forest: every
+// (vertex, color) slot holds the vertex's parent edge in it, so a path
+// query walks the path itself (see search). SetColor and Recolor keep it
+// current. A colored edge either is exactly one endpoint's parent edge
+// or is parked: it closed a cycle when it was linked, and its endpoints
+// share a root. A cut that splits a tree relinks a parked edge across
+// the split, so a class is a forest exactly when none of its edges is
+// parked, and then its rooted forest is the class itself.
+//
 // Concurrency: the convenience query methods share the State's built-in
 // Scratch, so a State is not safe for concurrent use in general. The
-// ...With variants take an explicit Scratch; callers that partition the
-// graph into vertex-disjoint regions (Algorithm 2's same-class clusters)
-// may run queries — and SetColor on edges whose endpoints stay inside
-// their own region — concurrently, one Scratch per goroutine.
+// ...With variants take an explicit Scratch. Queries read the parent
+// edges of the vertices they walk, and a SetColor or Recolor touches the
+// trees of the edges' endpoints, not only the endpoints: a link reroots
+// one endpoint's tree, and a cut may relink a parked edge. Callers that
+// partition the graph into regions containing every tree their updates
+// reach, and whose classes stay forests (so no edge is ever parked),
+// may run queries and updates concurrently, one Scratch per goroutine.
+// Algorithm 2's same-class clusters under the mod-depth CUT are such
+// regions.
 type State struct {
 	g      *graph.Graph
 	colors []int32
 	adj    [][]colorSlot
+	// parked lists the colored edges that are in no rooted forest: each
+	// closed a cycle in its class when it was linked.
+	parked []int32
 
 	sc *Scratch
 }
 
-// colorSlot is one color's incidence list at a vertex. The number of
-// distinct colors at a vertex is at most min(degree, palette size), so a
-// linear scan over slots beats a map lookup at decomposition palette
-// sizes.
+// colorSlot is one color's incidence list at a vertex, with the vertex's
+// parent edge in that color's rooted forest (-1 at a root). The number
+// of distinct colors at a vertex is at most min(degree, palette size),
+// so a linear scan over slots beats a map lookup at decomposition
+// palette sizes.
 type colorSlot struct {
-	c   int32
-	ids []int32
+	c      int32
+	parent int32
+	ids    []int32
+}
+
+// Step recolors one edge: Edge takes Color (verify.Uncolored erases).
+type Step struct {
+	Edge  int32
+	Color int32
 }
 
 // New returns an all-uncolored state over g.
@@ -60,10 +87,11 @@ func New(g *graph.Graph) *State {
 // is copied). The incidence index is built in bulk from two arena
 // allocations instead of one append chain per SetColor, which matters to
 // callers that rebuild a State per repair (the dynamic maintenance
-// ladder).
+// ladder), and the rooted forests by one BFS per tree.
 func FromColors(g *graph.Graph, colors []int32) *State {
 	s := New(g)
 	s.bulkLoad(colors)
+	s.rootAll()
 	return s
 }
 
@@ -131,7 +159,7 @@ func (s *State) bulkLoad(colors []int32) {
 				}
 			}
 			if found < 0 {
-				slotArena = append(slotArena, colorSlot{c: c})
+				slotArena = append(slotArena, colorSlot{c: c, parent: unrooted})
 				cnts = append(cnts, 0)
 				found = len(cnts) - 1
 			}
@@ -154,6 +182,42 @@ func (s *State) bulkLoad(colors []int32) {
 	}
 }
 
+// unrooted marks a slot bulkLoad created and rootAll has not reached.
+const unrooted = -2
+
+// rootAll roots every tree of every class by BFS from its first vertex
+// in (vertex, slot) order. An edge the BFS finds joining two vertices it
+// already holds closes a cycle, and is parked once, from its U end.
+func (s *State) rootAll() {
+	var queue []int32
+	for v := range s.adj {
+		for i := range s.adj[v] {
+			if s.adj[v][i].parent != unrooted {
+				continue
+			}
+			c := s.adj[v][i].c
+			s.adj[v][i].parent = -1
+			queue = append(queue[:0], int32(v))
+			for head := 0; head < len(queue); head++ {
+				x := queue[head]
+				xs := s.slot(x, c)
+				for _, id := range xs.ids {
+					e := s.g.Edge(id)
+					y := e.Other(x)
+					ys := s.slot(y, c)
+					switch {
+					case ys.parent == unrooted:
+						ys.parent = id
+						queue = append(queue, y)
+					case id != xs.parent && id != ys.parent && x == e.U:
+						s.parked = append(s.parked, id)
+					}
+				}
+			}
+		}
+	}
+}
+
 // Graph returns the underlying graph.
 func (s *State) Graph() *graph.Graph { return s.g }
 
@@ -172,15 +236,46 @@ func (s *State) Colors() []int32 {
 	return out
 }
 
-// SetColor assigns color c to edge id, updating the incidence index.
-// c may be verify.Uncolored to erase the edge's color.
+// SetColor assigns color c to edge id, updating the incidence index and
+// the rooted forests: the edge is cut from its old color's forest and
+// linked into c's. c may be verify.Uncolored to erase the edge's color.
+// A link costs the depths of the edge's endpoints in their c-trees; if
+// they already share a tree, the edge closes a cycle and is parked.
 func (s *State) SetColor(id, c int32) {
+	if s.recolor(id, c) && c != verify.Uncolored {
+		s.link(id, c)
+	}
+}
+
+// Recolor performs the steps in order, as a SetColor loop would, and
+// builds the same incidence index, but updates the rooted forests
+// cuts-first: every recolored edge leaves its old forest before any
+// joins its new one. So when the final coloring is a partial forest
+// decomposition, as Lemma 3.1 proves for an augmenting sequence, no
+// link closes a cycle, although a SetColor loop over the same steps may
+// close one transiently.
+func (s *State) Recolor(steps []Step) {
+	for _, st := range steps {
+		s.recolor(st.Edge, st.Color)
+	}
+	for _, st := range steps {
+		if c := s.colors[st.Edge]; c != verify.Uncolored && !s.inForest(st.Edge, c) {
+			s.link(st.Edge, c)
+		}
+	}
+}
+
+// recolor moves edge id to color c in the incidence index, cutting it
+// from its old color's forest first; it does not link. It reports
+// whether the color changed.
+func (s *State) recolor(id, c int32) bool {
 	old := s.colors[id]
 	if old == c {
-		return
+		return false
 	}
 	e := s.g.Edge(id)
 	if old != verify.Uncolored {
+		s.cut(id, old)
 		s.removeIncidence(e.U, old, id)
 		s.removeIncidence(e.V, old, id)
 	}
@@ -189,6 +284,112 @@ func (s *State) SetColor(id, c int32) {
 		s.addIncidence(e.U, c, id)
 		s.addIncidence(e.V, c, id)
 	}
+	return true
+}
+
+// slot returns v's slot for color c, or nil if v has no c-edge.
+func (s *State) slot(v, c int32) *colorSlot {
+	slots := s.adj[v]
+	for i := range slots {
+		if slots[i].c == c {
+			return &slots[i]
+		}
+	}
+	return nil
+}
+
+// parent returns v's parent edge in c's rooted forest, -1 at a root
+// (which includes every vertex without a c-edge).
+func (s *State) parent(v, c int32) int32 {
+	if sl := s.slot(v, c); sl != nil {
+		return sl.parent
+	}
+	return -1
+}
+
+// root returns the root of v's c-tree and v's depth below it.
+func (s *State) root(v, c int32) (int32, int) {
+	d := 0
+	for p := s.parent(v, c); p >= 0; p = s.parent(v, c) {
+		v = s.g.Edge(p).Other(v)
+		d++
+	}
+	return v, d
+}
+
+// inForest reports whether c-edge id is in c's rooted forest, as a
+// parent edge or parked.
+func (s *State) inForest(id, c int32) bool {
+	e := s.g.Edge(id)
+	return s.parent(e.U, c) == id || s.parent(e.V, c) == id || slices.Contains(s.parked, id)
+}
+
+// link adds c-edge id, already in the incidence index, to c's rooted
+// forest. If its endpoints share a root it closes a cycle and is
+// parked; otherwise the endpoint nearer its root reroots its tree and
+// hangs it from the edge.
+func (s *State) link(id, c int32) {
+	e := s.g.Edge(id)
+	ru, du := s.root(e.U, c)
+	rv, dv := s.root(e.V, c)
+	if ru == rv {
+		s.parked = append(s.parked, id)
+		return
+	}
+	x := e.U
+	if dv < du {
+		x = e.V
+	}
+	// Evert x's tree: reverse the parent edges on x's root path, so x
+	// becomes its root, and hang it from id.
+	for up := id; ; {
+		sl := s.slot(x, c)
+		next := sl.parent
+		sl.parent = up
+		if next < 0 {
+			return
+		}
+		up, x = next, s.g.Edge(next).Other(x)
+	}
+}
+
+// cut removes c-edge id, still in the incidence index, from c's rooted
+// forest. A parked edge is just dropped, and so is an edge Recolor moved
+// through c without linking it. A tree edge splits its tree, and the
+// first parked c-edge whose endpoints the split separates is linked
+// across it; every other parked edge of that tree then has its
+// endpoints under one root again.
+func (s *State) cut(id, c int32) {
+	e := s.g.Edge(id)
+	if sl := s.slot(e.U, c); sl.parent == id {
+		sl.parent = -1
+	} else if sl := s.slot(e.V, c); sl.parent == id {
+		sl.parent = -1
+	} else {
+		if i := slices.Index(s.parked, id); i >= 0 {
+			s.unpark(i)
+		}
+		return
+	}
+	for i, p := range s.parked {
+		if s.colors[p] != c {
+			continue
+		}
+		pe := s.g.Edge(p)
+		ru, _ := s.root(pe.U, c)
+		if rv, _ := s.root(pe.V, c); ru != rv {
+			s.unpark(i)
+			s.link(p, c)
+			return
+		}
+	}
+}
+
+// unpark removes parked[i] (order is not kept).
+func (s *State) unpark(i int) {
+	last := len(s.parked) - 1
+	s.parked[i] = s.parked[last]
+	s.parked = s.parked[:last]
 }
 
 func (s *State) addIncidence(v, c, id int32) {
@@ -199,7 +400,7 @@ func (s *State) addIncidence(v, c, id int32) {
 			return
 		}
 	}
-	s.adj[v] = append(slots, colorSlot{c: c, ids: append(make([]int32, 0, 2), id)})
+	s.adj[v] = append(slots, colorSlot{c: c, parent: -1, ids: append(make([]int32, 0, 2), id)})
 }
 
 func (s *State) removeIncidence(v, c, id int32) {
@@ -230,10 +431,8 @@ func (s *State) removeIncidence(v, c, id int32) {
 
 // incident returns the (vertex, color) edge list without copying.
 func (s *State) incident(v, c int32) []int32 {
-	for i := range s.adj[v] {
-		if s.adj[v][i].c == c {
-			return s.adj[v][i].ids
-		}
+	if sl := s.slot(v, c); sl != nil {
+		return sl.ids
 	}
 	return nil
 }
@@ -263,10 +462,11 @@ func (s *State) ColorsAt(v int32) []int32 {
 // C(e, c) primitive.
 //
 // The c-class must be a forest, which every partial forest decomposition
-// guarantees. The query then costs the two search balls around u and v
-// up to the vertex where they meet (see search), not u's whole c-tree.
-// If the class has a cycle, a non-nil answer is still a simple c-colored
-// u-v path through the region, but not necessarily the one a BFS from u
+// guarantees. A query then costs at most twice the longer of the path's
+// two halves, below and above the meeting vertex, when u and v are
+// connected, and the depths of u and v otherwise (see search). If the
+// class has a cycle, a non-nil answer is still a simple c-colored u-v
+// path through the region, but not necessarily the one a BFS from u
 // finds, and nil may be returned although such a path exists.
 func (s *State) PathInColor(c, u, v int32, within func(int32) bool) []int32 {
 	return s.PathInColorWith(s.sc, c, u, v, within)
@@ -281,10 +481,10 @@ func (s *State) PathInColorWith(sc *Scratch, c, u, v int32, within func(int32) b
 	if !ok {
 		return nil
 	}
-	// v to b along side B's parent edges, the meeting edge, then a to u
-	// along side A's. Only the result itself is allocated.
-	nb := s.hops(sc, b, v)
-	path := make([]int32, nb+1+s.hops(sc, a, u))
+	// v to b along side B's walk, the meeting edge, then a to u along
+	// side A's. Only the result itself is allocated.
+	nb := int(sc.hops[b])
+	path := make([]int32, nb+1+int(sc.hops[a]))
 	i := nb
 	for x := b; x != v; {
 		i--
@@ -300,70 +500,62 @@ func (s *State) PathInColorWith(sc *Scratch, c, u, v int32, within func(int32) b
 	return path
 }
 
-// hops counts the parent edges search stamped from x back to root, the
-// start of x's side.
-func (s *State) hops(sc *Scratch, x, root int32) int {
-	n := 0
-	for ; x != root; n++ {
-		x = s.g.Edge(sc.parentEdge[x]).Other(x)
-	}
-	return n
-}
-
 // search decides whether u and v (u != v) are joined by a c-colored path
-// whose interior lies in the region, by a balanced bidirectional BFS:
-// side A grows from u, side B from v, and the side with fewer pending
-// vertices expands next. Each side expands only its start vertex and
-// within vertices, stamping the Scratch's mark with its own epoch and
-// parentEdge with the edge that reached each vertex.
+// whose interior lies in the region, by walking up c's rooted forest:
+// side A climbs from u, side B from v, one parent edge per turn, in
+// alternation. Each side tags the vertices it reaches in the Scratch's
+// mark with its own epoch, and parentEdge with the edge it arrived by.
+// A side stops at its root, or just after it tags its first vertex
+// outside the region (its start vertex always climbs). hops counts each
+// tagged vertex's edges back to its side's start.
 //
-// In a forest, each side's marked set is a subtree containing its start,
-// so the first vertex both sides mark lies on the unique u-v path. That
-// path stays in the region exactly when the vertex is u, v or a within
-// vertex: otherwise it is an interior vertex neither side may expand.
-// This is exactly the verdict of a one-sided BFS from u, at the cost of
-// the two balls up to the meeting vertex. A side that runs out of pending vertices first has
-// exhausted its reach without meeting the other: not connected.
+// In a forest, each side's tagged vertices are a prefix of its start's
+// root path, so the first vertex both sides tag is the top of the u-v
+// path, where the two root paths join. The path stays in the region
+// exactly when that vertex is u, v or a within vertex, and the sides
+// reached it only through within vertices: the verdict of a one-sided
+// BFS from u. When u and v are connected the walk costs at most twice
+// the longer side's share of the path; otherwise both sides climb until
+// they stop, the depths of u and v at most.
 //
 // On success a and b are the side-A and side-B ends of the meeting edge
-// mid; parentEdge leads from a back to u and from b back to v. It
-// allocates nothing beyond growing the scratch queues.
+// mid, the edge on which the second side reached the meeting vertex;
+// parentEdge leads from a back to u and from b back to v, in hops[a]
+// and hops[b] edges. It allocates nothing.
 func (s *State) search(sc *Scratch, c, u, v int32, within func(int32) bool) (a, b, mid int32, ok bool) {
-	if len(s.incident(u, c)) == 0 || len(s.incident(v, c)) == 0 {
+	su, sv := s.slot(u, c), s.slot(v, c)
+	if su == nil || sv == nil {
 		return -1, -1, -1, false
 	}
 	sc.grow(s.g.N())
 	ep := sc.next()
 	tag := [2]uint32{ep, ep + 1}
-	root := [2]int32{u, v}
-	q := &sc.queue
-	q[0], q[1] = append(q[0][:0], u), append(q[1][:0], v)
-	var head [2]int
+	start := [2]int32{u, v}
+	at := start
+	// up[i] is the edge side i climbs next, -1 once it has stopped.
+	up := [2]int32{su.parent, sv.parent}
 	sc.mark[u], sc.mark[v] = tag[0], tag[1]
-	for head[0] < len(q[0]) && head[1] < len(q[1]) {
-		i := 0
-		if len(q[1])-head[1] < len(q[0])-head[0] {
-			i = 1
+	sc.hops[u], sc.hops[v] = 0, 0
+	for i := 0; up[0] >= 0 || up[1] >= 0; i ^= 1 {
+		id := up[i]
+		if id < 0 {
+			continue
 		}
-		x := q[i][head[i]]
-		head[i]++
-		for _, id := range s.incident(x, c) {
-			y := s.g.Edge(id).Other(x)
-			switch sc.mark[y] {
-			case tag[i]:
-				continue
-			case tag[1-i]:
-				ok = y == root[1-i] || within == nil || within(y)
-				if i == 1 {
-					return y, x, id, ok
-				}
-				return x, y, id, ok
+		x := at[i]
+		y := s.g.Edge(id).Other(x)
+		if sc.mark[y] == tag[1-i] {
+			ok = y == start[1-i] || within == nil || within(y)
+			if i == 1 {
+				return y, x, id, ok
 			}
-			sc.mark[y] = tag[i]
-			sc.parentEdge[y] = id
-			if within == nil || within(y) {
-				q[i] = append(q[i], y)
-			}
+			return x, y, id, ok
+		}
+		sc.mark[y] = tag[i]
+		sc.parentEdge[y] = id
+		sc.hops[y] = sc.hops[x] + 1
+		at[i], up[i] = y, -1
+		if within == nil || within(y) {
+			up[i] = s.parent(y, c)
 		}
 	}
 	return -1, -1, -1, false
@@ -373,7 +565,7 @@ func (s *State) search(sc *Scratch, c, u, v int32, within func(int32) bool) (a, 
 // searching only within the given region (nil = everywhere). Unlike
 // PathInColor it does not materialize the path, so it is allocation-free.
 // The precondition and cost are PathInColor's: the c-class must be a
-// forest, and the query costs the two balls up to the meeting vertex.
+// forest, and the query costs the walk up to the meeting vertex.
 func (s *State) ConnectedInColor(c, u, v int32, within func(int32) bool) bool {
 	return s.ConnectedInColorWith(s.sc, c, u, v, within)
 }

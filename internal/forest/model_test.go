@@ -9,6 +9,7 @@ import (
 
 	"nwforest/internal/graph"
 	"nwforest/internal/rng"
+	"nwforest/internal/unionfind"
 	"nwforest/internal/verify"
 )
 
@@ -196,4 +197,185 @@ func TestConcurrentReadersWithScratches(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// requireRooted checks the rooted-forest invariants of s: every slot's
+// parent edge is a c-edge at its vertex and no parent chain cycles;
+// every colored edge is parked or exactly one endpoint's parent edge,
+// and a parked edge's endpoints share a root. It returns, per color in
+// [0, k), whether the class is a forest, which must hold exactly when
+// none of its edges is parked.
+func requireRooted(t *testing.T, label string, s *State, k int) []bool {
+	t.Helper()
+	g := s.Graph()
+	parked := map[int32]bool{}
+	for _, id := range s.parked {
+		if s.colors[id] == verify.Uncolored || parked[id] {
+			t.Fatalf("%s: parked list %v holds edge %d twice or uncolored", label, s.parked, id)
+		}
+		parked[id] = true
+	}
+	children := make([]int, g.M())
+	for v := range s.adj {
+		for _, sl := range s.adj[v] {
+			if sl.parent == -1 {
+				continue
+			}
+			if sl.parent < 0 || s.colors[sl.parent] != sl.c || !slices.Contains(sl.ids, sl.parent) {
+				t.Fatalf("%s: vertex %d's parent edge %d in color %d is not a c-edge at it", label, v, sl.parent, sl.c)
+			}
+			children[sl.parent]++
+		}
+	}
+	root := func(v, c int32) int32 {
+		for steps := 0; ; steps++ {
+			p := s.parent(v, c)
+			if p < 0 {
+				return v
+			}
+			if steps > g.N() {
+				t.Fatalf("%s: the color-%d parent chain from %d cycles", label, c, v)
+			}
+			v = g.Edge(p).Other(v)
+		}
+	}
+	forest := make([]bool, k)
+	classes := make([]*unionfind.DSU, k)
+	for c := range classes {
+		forest[c] = true
+		classes[c] = unionfind.New(g.N())
+	}
+	for id, c := range s.colors {
+		if c == verify.Uncolored {
+			if children[id] != 0 {
+				t.Fatalf("%s: uncolored edge %d is a parent edge", label, id)
+			}
+			continue
+		}
+		e := g.Edge(int32(id))
+		if !classes[c].Union(int(e.U), int(e.V)) {
+			forest[c] = false
+		}
+		switch {
+		case parked[int32(id)] && children[id] != 0:
+			t.Fatalf("%s: parked edge %d is also a parent edge", label, id)
+		case parked[int32(id)] && root(e.U, c) != root(e.V, c):
+			t.Fatalf("%s: parked color-%d edge %d joins two trees", label, c, id)
+		case !parked[int32(id)] && children[id] != 1:
+			t.Fatalf("%s: color-%d edge %d is the parent edge of %d endpoints", label, c, id, children[id])
+		}
+	}
+	for id := range parked {
+		if c := s.colors[id]; forest[c] {
+			t.Fatalf("%s: color %d is a forest but edge %d is parked", label, c, id)
+		}
+	}
+	for c := range forest {
+		if forest[c] {
+			continue
+		}
+		if !slices.ContainsFunc(s.parked, func(id int32) bool { return s.colors[id] == int32(c) }) {
+			t.Fatalf("%s: color %d has a cycle but no parked edge", label, c)
+		}
+	}
+	return forest
+}
+
+// TestRootedForestModel runs random SetColors (cycle-closing ones
+// included), Recolor batches and FromColors rebuilds on a multigraph,
+// and after every step holds the incidence index to the model, checks
+// the rooted-forest invariants, and holds the path queries of every
+// forest class to the one-sided BFS, with and without a region.
+func TestRootedForestModel(t *testing.T) {
+	const k = 4
+	for seed := uint64(1); seed <= 3; seed++ {
+		g := withParallels(randomGraph(40, 70, seed))
+		src := rng.New(seed + 100)
+		s, m := New(g), newIncidenceModel(g, nil)
+		sc := NewScratch(g.N())
+		for step := 0; step < 400; step++ {
+			var label string
+			switch r := src.Intn(10); {
+			case r < 6:
+				id, c := randomOp(src, g.M(), k)
+				s.SetColor(id, c)
+				m.setColor(id, c)
+				label = fmt.Sprintf("seed %d, step %d: SetColor(%d, %d)", seed, step, id, c)
+			case r < 9:
+				steps := make([]Step, 1+src.Intn(6))
+				for i := range steps {
+					steps[i].Edge, steps[i].Color = randomOp(src, g.M(), k)
+					m.setColor(steps[i].Edge, steps[i].Color)
+				}
+				s.Recolor(steps)
+				label = fmt.Sprintf("seed %d, step %d: Recolor(%v)", seed, step, steps)
+			default:
+				// FromColors builds the order of an id-ascending SetColor
+				// loop, so the model restarts from that loop too.
+				s = FromColors(g, s.Colors())
+				m = newIncidenceModel(g, s.Colors())
+				label = fmt.Sprintf("seed %d, step %d: FromColors", seed, step)
+			}
+			requireMatchesModel(t, label, s, m, k)
+			forest := requireRooted(t, label, s, k)
+			within := randomRegion(g.N(), 0.7, src)
+			for q := 0; q < 8; q++ {
+				c := int32(src.Intn(k))
+				if !forest[c] {
+					continue
+				}
+				u, v := int32(src.Intn(g.N())), int32(src.Intn(g.N()))
+				checkQuery(t, s, sc, c, u, v, nil)
+				checkQuery(t, s, sc, c, u, v, within)
+			}
+		}
+	}
+}
+
+// TestRecolorForestSwaps applies random two-edge swaps that keep every
+// class a forest but whose SetColor loop closes a cycle transiently, and
+// requires Recolor to leave the rooted-forest invariants intact and
+// nothing parked. (A SetColor loop ends in the same state, because the
+// second step's cut relinks the edge the first step parked; the
+// cuts-first order shows only in the work done.)
+func TestRecolorForestSwaps(t *testing.T) {
+	const k = 3
+	g := withParallels(randomGraph(50, 150, 7))
+	src := rng.New(8)
+	s := FromColors(g, randomForestColors(g, k, src))
+	applied := 0
+	for batch := 0; batch < 400; batch++ {
+		// Edge a moves from ca to cb, closing a cb-cycle through b, and
+		// b moves to ca, which a's departure keeps acyclic exactly when
+		// a lies on the ca-path between b's endpoints.
+		a := int32(src.Intn(g.M()))
+		ca, cb := s.Color(a), int32(src.Intn(k))
+		if ca == verify.Uncolored || cb == ca {
+			continue
+		}
+		e := g.Edge(a)
+		path := oraclePath(s, cb, e.U, e.V, nil)
+		if len(path) == 0 {
+			continue
+		}
+		b := path[src.Intn(len(path))]
+		eb := g.Edge(b)
+		if p := oraclePath(s, ca, eb.U, eb.V, nil); p != nil && !slices.Contains(p, a) {
+			continue
+		}
+		s.Recolor([]Step{{Edge: a, Color: cb}, {Edge: b, Color: ca}})
+		applied++
+		label := fmt.Sprintf("batch %d", batch)
+		for c, ok := range requireRooted(t, label, s, k) {
+			if !ok {
+				t.Fatalf("%s: the swap left a cycle in color %d", label, c)
+			}
+		}
+		if len(s.parked) != 0 {
+			t.Fatalf("%s: Recolor parked %v", label, s.parked)
+		}
+	}
+	if applied < 50 {
+		t.Fatalf("only %d swaps applied", applied)
+	}
 }

@@ -12,8 +12,8 @@ import (
 	"nwforest/internal/verify"
 )
 
-// oraclePath is the one-sided BFS the bidirectional search replaced,
-// kept as its reference: it scans u's c-tree through the region until it
+// oraclePath is the one-sided BFS the path search replaced, kept as its
+// reference: it scans u's c-tree through the region until it
 // reaches v and rebuilds the path from v back to u. It has its own
 // buffers, so it shares nothing with Scratch.
 func oraclePath(s *State, c, u, v int32, within func(int32) bool) []int32 {
@@ -120,11 +120,11 @@ func checkQuery(t *testing.T, s *State, sc *Scratch, c, u, v int32, within func(
 	}
 }
 
-// TestSearchMatchesOracle compares the bidirectional search with the
+// TestSearchMatchesOracle compares the parent-pointer walk with the
 // one-sided BFS on random multigraph forests, built both by FromColors
 // and by SetColor, under random regions: thousands of queries on one
 // reused Scratch. Interleaved component queries share the Scratch's
-// epochs.
+// epochs. Deep trees, linked and cut between query rounds, follow.
 func TestSearchMatchesOracle(t *testing.T) {
 	const k = 3
 	for _, bulk := range []bool{true, false} {
@@ -149,6 +149,83 @@ func TestSearchMatchesOracle(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+	// Deep trees: a 3000-vertex path and a caterpillar (a 600-vertex
+	// spine with three legs per vertex) in color 0, with uncolored
+	// chords, queried between rounds of links and cuts. Near probes sit
+	// a few hops apart on the tree, far probes anywhere.
+	for _, bulk := range []bool{true, false} {
+		for gi, g := range []*graph.Graph{caterpillar(3000, 0, 300, 11), caterpillar(600, 3, 300, 12)} {
+			src := rng.New(uint64(20 + gi))
+			colors := make([]int32, g.M())
+			for id := range colors {
+				colors[id] = verify.Uncolored
+				if id < g.N()-1 {
+					colors[id] = 0
+				}
+			}
+			s := stateWith(g, colors, bulk)
+			sc := NewScratch(g.N())
+			for round := 0; round < 10; round++ {
+				within := randomRegion(g.N(), []float64{0.99, 1}[round%2], src)
+				for q := 0; q < 40; q++ {
+					u, v := int32(src.Intn(g.N())), int32(src.Intn(g.N()))
+					if q%2 == 0 {
+						// A near probe: a short random walk from u.
+						v = u
+						for h := src.Intn(5); h > 0; h-- {
+							if ids := s.IncidentInColor(v, 0); len(ids) > 0 {
+								v = g.Edge(ids[src.Intn(len(ids))]).Other(v)
+							}
+						}
+					}
+					checkQuery(t, s, sc, 0, u, v, within)
+				}
+				churn(s, 0, 30, src)
+			}
+		}
+	}
+}
+
+// caterpillar returns a spine of the given length with legs leaves at
+// every spine vertex, as edges 0.. in spine-then-leaf order, plus extra
+// random chords after them: one deep tree whose chords can link and cut.
+func caterpillar(spine, legs, chords int, seed uint64) *graph.Graph {
+	n := spine * (1 + legs)
+	var edges []graph.Edge
+	for x := 1; x < spine; x++ {
+		edges = append(edges, graph.E(int32(x-1), int32(x)))
+	}
+	for x := 0; x < spine; x++ {
+		for l := 1; l <= legs; l++ {
+			edges = append(edges, graph.E(int32(x), int32(spine*l+x)))
+		}
+	}
+	src := rng.New(seed)
+	for len(edges) < n-1+chords {
+		if u, v := int32(src.Intn(n)), int32(src.Intn(n)); u != v {
+			edges = append(edges, graph.E(u, v))
+		}
+	}
+	return graph.MustNew(n, edges)
+}
+
+// churn cuts and links edges in color c between query rounds: it
+// uncolors random c-edges and colors random uncolored edges c where the
+// one-sided BFS finds their endpoints disconnected, so the class stays
+// a forest while its trees split, rejoin and reroot.
+func churn(s *State, c int32, ops int, src *rng.Source) {
+	g := s.Graph()
+	for i := 0; i < ops; i++ {
+		id := int32(src.Intn(g.M()))
+		switch e := g.Edge(id); s.Color(id) {
+		case c:
+			s.SetColor(id, verify.Uncolored)
+		case verify.Uncolored:
+			if oraclePath(s, c, e.U, e.V, nil) == nil {
+				s.SetColor(id, c)
 			}
 		}
 	}

@@ -27,7 +27,7 @@ type Scratch struct {
 	mark       []uint32
 	regionMark []uint32
 	parentEdge []int32
-	queue      [2][]int32 // the path search's per-side BFS queues
+	hops       []int32 // the path search's edge counts back to each side's start
 	epoch      uint32
 }
 
@@ -48,6 +48,7 @@ func (sc *Scratch) grow(n int) {
 	sc.mark = make([]uint32, n)
 	sc.regionMark = make([]uint32, n)
 	sc.parentEdge = make([]int32, n)
+	sc.hops = make([]int32, n)
 	sc.epoch = 0
 }
 

@@ -155,7 +155,12 @@ type Job struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	done   chan struct{} // closed on entering a terminal state
+	done   chan struct{} // closed once a terminal state is settled
+	// settle runs once, on the goroutine whose transition made the job
+	// terminal, before the terminal event is published and done closes:
+	// the service's trace, history and retention bookkeeping, which
+	// anyone woken by Done() must find complete. Nil outside a Service.
+	settle func(*Job)
 
 	// hub carries the job's progress event stream (GET /jobs/{id}/events).
 	// The terminal state event is published before done is closed, so a
@@ -242,14 +247,20 @@ func (j *Job) tryStart(now time.Time) bool {
 // finish moves the job to a terminal state; the first transition wins and
 // later ones (e.g. a computation completing after its job was canceled)
 // are dropped. cached marks results served without running the algorithm
-// (result-cache hits and deduplicated in-flight followers).
+// (result-cache hits and deduplicated in-flight followers). The winner
+// settles the job before finish returns.
 func (j *Job) finish(now time.Time, state JobState, res *JobResult, errMsg string, cached bool) bool {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.finishLocked(now, state, res, errMsg, cached)
+	won := j.finishLocked(now, state, res, errMsg, cached)
+	j.mu.Unlock()
+	if won {
+		j.settleTerminal()
+	}
+	return won
 }
 
-// finishLocked is finish with j.mu already held.
+// finishLocked is the terminal transition, with j.mu already held; the
+// caller settles the job after releasing j.mu if it won.
 func (j *Job) finishLocked(now time.Time, state JobState, res *JobResult, errMsg string, cached bool) bool {
 	if j.state.terminal() {
 		return false
@@ -259,12 +270,20 @@ func (j *Job) finishLocked(now time.Time, state JobState, res *JobResult, errMsg
 	j.errMsg = errMsg
 	j.cached = cached
 	j.finished = now
-	// Publish the terminal event before closing done: anyone woken by
-	// Done() must be able to read it from the hub's history.
-	j.hub.publish(JobEvent{Type: "state", State: state, Cached: cached, Error: errMsg})
-	close(j.done)
 	j.cancel() // release the context's resources
 	return true
+}
+
+// settleTerminal runs the settle hook, then publishes the terminal event
+// and closes done: anyone woken by Done() finds the job's trace, history
+// record and terminal event. Only the winning transition's goroutine
+// calls it, once; the terminal fields it reads are final by then.
+func (j *Job) settleTerminal() {
+	if j.settle != nil {
+		j.settle(j)
+	}
+	j.hub.publish(JobEvent{Type: "state", State: j.state, Cached: j.cached, Error: j.errMsg})
+	close(j.done)
 }
 
 // cancelIfQueued moves a job that is still waiting in the queue to
@@ -274,11 +293,12 @@ func (j *Job) finishLocked(now time.Time, state JobState, res *JobResult, errMsg
 // never race tryStart into canceling a job a worker just claimed.
 func (j *Job) cancelIfQueued(now time.Time, errMsg string) bool {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != JobQueued {
-		return false
+	won := j.state == JobQueued && j.finishLocked(now, JobCanceled, nil, errMsg, false)
+	j.mu.Unlock()
+	if won {
+		j.settleTerminal()
 	}
-	return j.finishLocked(now, JobCanceled, nil, errMsg, false)
+	return won
 }
 
 // Cancel requests cancellation: queued and running jobs move to

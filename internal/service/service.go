@@ -557,6 +557,7 @@ func (s *Service) submit(spec JobSpec, localOnly bool) (*Job, error) {
 		done:      make(chan struct{}),
 		hub:       newEventHub(),
 		localOnly: localOnly,
+		settle:    s.pruneFinished,
 	}
 	j.hub.publish(JobEvent{Type: "state", State: JobQueued})
 
@@ -574,7 +575,6 @@ func (s *Service) submit(spec JobSpec, localOnly bool) (*Job, error) {
 		s.register(j)
 		s.mu.Unlock()
 		j.finish(now, JobDone, res, "", true)
-		s.pruneFinished(j)
 		return j, nil
 	}
 
@@ -640,18 +640,14 @@ func (s *Service) follow(j, leader *Job) {
 		return // follower canceled/expired first; its watcher handled it
 	}
 	snap := leader.Snapshot()
-	var finished bool
 	switch snap.State {
 	case JobDone:
-		finished = j.finish(time.Now(), JobDone, snap.Result, "", true)
+		j.finish(time.Now(), JobDone, snap.Result, "", true)
 	case JobFailed:
-		finished = j.finish(time.Now(), JobFailed, nil, snap.Error, true)
+		j.finish(time.Now(), JobFailed, nil, snap.Error, true)
 	default: // canceled
-		finished = j.finish(time.Now(), JobCanceled, nil,
+		j.finish(time.Now(), JobCanceled, nil,
 			"deduplicated onto job "+leader.ID()+", which was canceled", false)
-	}
-	if finished {
-		s.pruneFinished(j)
 	}
 }
 
@@ -671,14 +667,10 @@ func (s *Service) watch(j *Job) {
 		select {
 		case <-j.ctx.Done():
 			if j.spec.Anytime && !j.follower {
-				if j.cancelIfQueued(time.Now(), j.ctx.Err().Error()) {
-					s.pruneFinished(j)
-				}
+				j.cancelIfQueued(time.Now(), j.ctx.Err().Error())
 				return
 			}
-			if j.finish(time.Now(), JobCanceled, nil, j.ctx.Err().Error(), false) {
-				s.pruneFinished(j)
-			}
+			j.finish(time.Now(), JobCanceled, nil, j.ctx.Err().Error(), false)
 		case <-j.done:
 		}
 	}()
@@ -724,11 +716,7 @@ func (s *Service) Cancel(id string) bool {
 	if !ok {
 		return false
 	}
-	if !j.Cancel("canceled by client") {
-		return false
-	}
-	s.pruneFinished(j)
-	return true
+	return j.Cancel("canceled by client")
 }
 
 // Jobs returns snapshots of every retained job, oldest first.
@@ -765,14 +753,12 @@ func (s *Service) worker() {
 // background and its result is discarded.
 func (s *Service) runJob(j *Job) {
 	if err := j.ctx.Err(); err != nil {
-		if j.finish(time.Now(), JobCanceled, nil, err.Error(), false) {
-			s.pruneFinished(j)
-		}
+		j.finish(time.Now(), JobCanceled, nil, err.Error(), false)
 		return
 	}
 	started := time.Now()
 	if !j.tryStart(started) {
-		return // canceled while queued; whoever finished it pruned it
+		return // canceled while queued; whoever finished it settled it
 	}
 	type outcome struct {
 		res *JobResult
@@ -798,15 +784,14 @@ func (s *Service) runJob(j *Job) {
 		res, err := s.execute(execCtx, j)
 		ch <- outcome{res, err}
 	}()
-	finished := false
 	handle := func(out outcome) {
 		switch {
 		case out.err != nil && (errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded)):
 			// The algorithm observed the job context and aborted mid-phase:
 			// that is a cancellation, not an algorithm failure.
-			finished = j.finish(time.Now(), JobCanceled, nil, out.err.Error(), false)
+			j.finish(time.Now(), JobCanceled, nil, out.err.Error(), false)
 		case out.err != nil:
-			finished = j.finish(time.Now(), JobFailed, nil, out.err.Error(), false)
+			j.finish(time.Now(), JobFailed, nil, out.err.Error(), false)
 		case out.res.Anytime != nil && out.res.Anytime.Partial:
 			// A deadline-interrupted anytime run served its best
 			// checkpoint: cache it under the quality-qualified key — never
@@ -816,12 +801,12 @@ func (s *Service) runJob(j *Job) {
 			s.cache.put(key, out.res)
 			s.persistResult(key, out.res)
 			s.observeJobDuration(j.spec.Algorithm, time.Since(started))
-			finished = j.finish(time.Now(), JobDone, out.res, "", false)
+			j.finish(time.Now(), JobDone, out.res, "", false)
 		default:
 			s.cache.put(j.spec.CacheKey(), out.res)
 			s.persistResult(j.spec.CacheKey(), out.res)
 			s.observeJobDuration(j.spec.Algorithm, time.Since(started))
-			finished = j.finish(time.Now(), JobDone, out.res, "", false)
+			j.finish(time.Now(), JobDone, out.res, "", false)
 		}
 	}
 	select {
@@ -839,15 +824,12 @@ func (s *Service) runJob(j *Job) {
 				grace.Stop()
 				handle(out)
 			case <-grace.C:
-				finished = j.finish(time.Now(), JobCanceled, nil,
+				j.finish(time.Now(), JobCanceled, nil,
 					j.ctx.Err().Error()+" (no anytime checkpoint within grace)", false)
 			}
 		} else {
-			finished = j.finish(time.Now(), JobCanceled, nil, j.ctx.Err().Error(), false)
+			j.finish(time.Now(), JobCanceled, nil, j.ctx.Err().Error(), false)
 		}
-	}
-	if finished {
-		s.pruneFinished(j)
 	}
 }
 
@@ -888,7 +870,8 @@ type finishedRec struct {
 // retention budgets (cfg.RetainJobs entries; result bytes bounded by the
 // result-cache byte budget, since retained results pin memory exactly
 // like cache entries do). Queued and running jobs are never pruned.
-// Exactly one caller runs this per job — the finish() winner.
+// It is every job's settle hook, so exactly one caller runs it per job:
+// the finish() winner, before the job's done channel closes.
 func (s *Service) pruneFinished(j *Job) {
 	snap := j.Snapshot()
 	if s.logger != nil {

@@ -403,3 +403,26 @@ func TestIncrementalJobTraced(t *testing.T) {
 			snap.Result.Decomposition.Phases)
 	}
 }
+
+// TestTraceAndHistoryReadyAfterWait: a job's trace is in the ring and
+// its history record appended before Wait returns. Many short jobs, each
+// read the moment Wait returns, would catch a job whose done channel
+// closed before its observability was finalized.
+func TestTraceAndHistoryReadyAfterWait(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 2})
+	graphID := addGraph(t, svc, gen.ForestUnion(12, 2, 3))
+	for seed := uint64(1); seed <= 400; seed++ {
+		j, err := svc.Submit(JobSpec{GraphID: graphID, Algorithm: "decompose",
+			Options: nwforest.Options{Alpha: 2, Eps: 0.5, Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := waitDone(t, svc, j)
+		if _, ok := svc.Trace(snap.ID); !ok {
+			t.Fatalf("job %s (%s): no trace right after Wait", snap.ID, snap.State)
+		}
+		if h := svc.History("", "", 1); len(h) == 0 || h[0].ID != snap.ID {
+			t.Fatalf("job %s (%s): newest history record is %+v right after Wait", snap.ID, snap.State, h)
+		}
+	}
+}
