@@ -13,9 +13,9 @@ import (
 )
 
 // oraclePath is the one-sided BFS the path search replaced, kept as its
-// reference: it scans u's c-tree through the region until it
-// reaches v and rebuilds the path from v back to u. It has its own
-// buffers, so it shares nothing with Scratch.
+// reference: it scans u's c-tree through the region until it reaches v
+// and rebuilds the path from v back to u. It has its own buffers, so it
+// shares nothing with Scratch.
 func oraclePath(s *State, c, u, v int32, within func(int32) bool) []int32 {
 	if u == v {
 		return []int32{}

@@ -63,7 +63,10 @@ func TestAnytimeCacheKeyContract(t *testing.T) {
 // anytime request is served straight from the cache.
 func TestAnytimeHTTPEndToEnd(t *testing.T) {
 	svc, ts := testServer(t, Config{Workers: 2})
-	g := gen.ForestUnion(2000, 3, 42)
+	// Large enough that a cold run takes well over four times the
+	// deadline's 10 ms floor (about 140 ms on a 2-vCPU Xeon), so the
+	// calibrated deadline lands mid-run.
+	g := gen.ForestUnion(8000, 3, 42)
 
 	var upload bytes.Buffer
 	if err := graph.Encode(&upload, g); err != nil {

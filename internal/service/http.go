@@ -154,10 +154,10 @@ func NewHTTPHandler(svc *Service) http.Handler {
 }
 
 // handleJobEvents serves GET /jobs/{id}/events: the job's event history
-// replays first, then live events stream until the job reaches a
-// terminal state or the client disconnects. Because the terminal event
-// is published before the job's done channel closes, the stream always
-// ends with it.
+// replays first, then live events stream until the job's done channel
+// closes or the client disconnects. Because the terminal event is
+// published before done closes, the stream always ends with it, and by
+// then the job's trace and history record are in place.
 func handleJobEvents(svc *Service, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := svc.Get(id)
@@ -186,13 +186,11 @@ func handleJobEvents(svc *Service, w http.ResponseWriter, r *http.Request) {
 		if !flush() {
 			return
 		}
-		if j.State().terminal() {
-			flush() // drain anything published between since() and State()
-			return
-		}
 		select {
 		case <-notify:
 		case <-j.Done():
+			flush() // drain anything published since the last flush
+			return
 		case <-r.Context().Done():
 			return
 		}
@@ -283,14 +281,14 @@ func handleMutateGraph(svc *Service, w http.ResponseWriter, r *http.Request) {
 
 // handleJobTrace serves GET /jobs/{id}/trace: the finished job's span
 // timeline from the trace ring, as Chrome trace-event JSON. A job that
-// is still known but not yet terminal answers 409 (its trace is not in
+// is still known but not yet settled answers 409 (its trace is not in
 // the ring yet); anything else — unknown ID, evicted trace, tracing
 // disabled — is a 404.
 func handleJobTrace(svc *Service, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rec, ok := svc.Trace(id)
 	if !ok {
-		if j, known := svc.Get(id); known && !j.State().terminal() {
+		if j, known := svc.Get(id); known && !j.settled() {
 			writeError(w, http.StatusConflict,
 				fmt.Errorf("job %q has not finished; its trace is not available yet", id))
 			return

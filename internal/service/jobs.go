@@ -155,16 +155,17 @@ type Job struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	done   chan struct{} // closed once a terminal state is settled
+	done   chan struct{} // closed once a terminal job is settled
 	// settle runs once, on the goroutine whose transition made the job
-	// terminal, before the terminal event is published and done closes:
-	// the service's trace, history and retention bookkeeping, which
-	// anyone woken by Done() must find complete. Nil outside a Service.
+	// terminal, before done closes: the service's trace, history and
+	// retention bookkeeping, which anyone woken by Done() must find
+	// complete.
 	settle func(*Job)
 
 	// hub carries the job's progress event stream (GET /jobs/{id}/events).
-	// The terminal state event is published before done is closed, so a
-	// subscriber woken by Done() always finds it in the history.
+	// The terminal state event is published with the terminal
+	// transition, before done is closed, so a subscriber woken by Done()
+	// always finds it in the history.
 	hub *eventHub
 
 	// rec is the job's span recorder (GET /jobs/{id}/trace); nil when
@@ -196,8 +197,19 @@ func (j *Job) ID() string { return j.id }
 // disabled. The HTTP layer uses it to attach the request span.
 func (j *Job) TraceRecorder() *trace.Recorder { return j.rec }
 
-// Done returns a channel closed when the job reaches a terminal state.
+// Done returns a channel closed when the job reaches a terminal state
+// and its trace and history record are in place.
 func (j *Job) Done() <-chan struct{} { return j.done }
+
+// settled reports whether done has closed.
+func (j *Job) settled() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
+}
 
 // Snapshot returns a consistent view of the job.
 func (j *Job) Snapshot() JobSnapshot {
@@ -270,19 +282,16 @@ func (j *Job) finishLocked(now time.Time, state JobState, res *JobResult, errMsg
 	j.errMsg = errMsg
 	j.cached = cached
 	j.finished = now
+	j.hub.publish(JobEvent{Type: "state", State: state, Cached: cached, Error: errMsg})
 	j.cancel() // release the context's resources
 	return true
 }
 
-// settleTerminal runs the settle hook, then publishes the terminal event
-// and closes done: anyone woken by Done() finds the job's trace, history
-// record and terminal event. Only the winning transition's goroutine
-// calls it, once; the terminal fields it reads are final by then.
+// settleTerminal runs the settle hook and then closes done, so anyone
+// woken by Done() finds the job's trace, history record and terminal
+// event. Only the winning transition's goroutine calls it, once.
 func (j *Job) settleTerminal() {
-	if j.settle != nil {
-		j.settle(j)
-	}
-	j.hub.publish(JobEvent{Type: "state", State: j.state, Cached: j.cached, Error: j.errMsg})
+	j.settle(j)
 	close(j.done)
 }
 
