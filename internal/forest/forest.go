@@ -463,11 +463,11 @@ func (s *State) ColorsAt(v int32) []int32 {
 //
 // The c-class must be a forest, which every partial forest decomposition
 // guarantees. A query then costs at most twice the longer of the path's
-// two halves, below and above the meeting vertex, when u and v are
-// connected, and the depths of u and v otherwise (see search). If the
-// class has a cycle, a non-nil answer is still a simple c-colored u-v
-// path through the region, but not necessarily the one a BFS from u
-// finds, and nil may be returned although such a path exists.
+// two halves, from u and from v up to where their root paths join, when
+// u and v are connected, and the depths of u and v otherwise (see
+// search). If the class has a cycle, a non-nil answer is still a simple
+// c-colored u-v path through the region, but not necessarily the one a
+// BFS from u finds, and nil may be returned although such a path exists.
 func (s *State) PathInColor(c, u, v int32, within func(int32) bool) []int32 {
 	return s.PathInColorWith(s.sc, c, u, v, within)
 }
