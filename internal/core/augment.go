@@ -34,7 +34,9 @@ type SearchStats struct {
 	// Radius is the maximum hop distance from the start edge to any edge
 	// of the returned sequence.
 	Radius int
-	// Visited is the number of distinct edges explored.
+	// Visited is the number of distinct edges that entered the search.
+	// An edge with a free color ends the search before any of its paths
+	// is followed, so the edges of those paths are not counted.
 	Visited int
 }
 
@@ -103,7 +105,10 @@ func (s *Searcher) nextEpoch() uint32 {
 // over edges where exploring edge x with candidate color c follows the
 // monochromatic path C(x, c). It terminates when some (x, c) has
 // C(x, c) = empty, yielding an almost augmenting sequence, which is then
-// short-circuited (Proposition 3.4) into an augmenting sequence.
+// short-circuited (Proposition 3.4) into an augmenting sequence. Each
+// expanded x first tries its palette in order with allocation-free
+// connectivity queries and copies its paths only when every color is
+// connected, so a search costs the answer it returns.
 //
 //   - palettes[e] lists the usable colors of edge e (condition (A5));
 //   - withinSearch bounds the region whose edges may join the sequence
@@ -138,11 +143,7 @@ func (s *Searcher) FindAugmenting(palettes [][]int32, start int32,
 		e := g.Edge(x)
 		cur := st.Color(x)
 		for _, c := range palettes[x] {
-			if c == cur {
-				continue
-			}
-			path := st.PathInColorWith(s.fsc, c, e.U, e.V, withinPath)
-			if path == nil {
+			if c != cur && !st.ConnectedInColorWith(s.fsc, c, e.U, e.V, withinPath) {
 				// Almost augmenting sequence found; backtrack the chain.
 				seq := s.backtrack(x, c)
 				seq = shortCircuit(st, s.fsc, seq, withinPath)
@@ -151,7 +152,12 @@ func (s *Searcher) FindAugmenting(palettes [][]int32, start int32,
 				stats.Radius = s.seqRadius(seq)
 				return seq, stats
 			}
-			for _, y := range path {
+		}
+		for _, c := range palettes[x] {
+			if c == cur {
+				continue
+			}
+			for _, y := range st.PathInColorWith(s.fsc, c, e.U, e.V, withinPath) {
 				if s.viaEpoch[y] == ep {
 					continue
 				}

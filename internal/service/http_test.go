@@ -124,6 +124,66 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServeHitIsCompactJSON pins the response encoding: a cache hit's
+// body is one line, the compact encoding of the job's snapshot, and it
+// decodes to the cold run's colors.
+func TestServeHitIsCompactJSON(t *testing.T) {
+	svc, ts := testServer(t, Config{Workers: 1})
+	g := gen.ForestUnion(300, 3, 5)
+	var upload bytes.Buffer
+	if err := graph.Encode(&upload, g); err != nil {
+		t.Fatal(err)
+	}
+	var info GraphInfo
+	if code := doJSON(t, "POST", ts.URL+"/graphs", upload.Bytes(), "", &info); code != http.StatusCreated {
+		t.Fatalf("POST /graphs -> %d, want 201", code)
+	}
+	spec, _ := json.Marshal(JobSpec{GraphID: info.ID, Algorithm: "decompose",
+		Options: nwforest.Options{Alpha: 3, Eps: 0.5, Seed: 1}})
+	var snap, cold JobSnapshot
+	doJSON(t, "POST", ts.URL+"/jobs", spec, "application/json", &snap)
+	if code := doJSON(t, "GET", ts.URL+"/jobs/"+snap.ID+"?wait=30s", nil, "", &cold); code != http.StatusOK || cold.State != JobDone {
+		t.Fatalf("cold job -> %d, state %s (%s)", code, cold.State, cold.Error)
+	}
+
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeat POST /jobs -> %d, %v, want a 200 hit", resp.StatusCode, err)
+	}
+	if i := bytes.IndexByte(body, '\n'); i != len(body)-1 {
+		t.Fatalf("hit body has a newline at byte %d of %d, want one line", i, len(body))
+	}
+	var hit JobSnapshot
+	if err := json.Unmarshal(body, &hit); err != nil {
+		t.Fatal(err)
+	}
+	j, ok := svc.Get(hit.ID)
+	if !ok || !hit.Cached {
+		t.Fatalf("hit %s: known %v, cached %v", hit.ID, ok, hit.Cached)
+	}
+	want, err := json.Marshal(j.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, append(want, '\n')) {
+		t.Fatalf("hit body is not the compact encoding of its snapshot:\n%.200s\n%.200s", body, want)
+	}
+	got, coldColors := hit.Result.Decomposition.Colors, cold.Result.Decomposition.Colors
+	if len(got) != g.M() || len(got) != len(coldColors) {
+		t.Fatalf("hit has %d colors, cold run %d, graph %d edges", len(got), len(coldColors), g.M())
+	}
+	for i := range got {
+		if got[i] != coldColors[i] {
+			t.Fatalf("hit colors diverge from the cold run at edge %d", i)
+		}
+	}
+}
+
 func TestServeDIMACSUpload(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
 	// K4 in DIMACS form; arboricity 2.
@@ -457,6 +517,9 @@ func TestServeVersioningAndIncremental(t *testing.T) {
 	}
 	if err := nwforest.Verify(childGraph, d.Colors, d.NumForests); err != nil {
 		t.Fatalf("incremental result invalid: %v", err)
+	}
+	if want := nwforest.Diameter(childGraph, d.Colors); d.Diameter != want || want == 0 {
+		t.Fatalf("incremental result reports diameter %d, its colors have %d", d.Diameter, want)
 	}
 	// The phase breakdown proves the repair path ran (a full-run fallback
 	// would report the standard pipeline phases instead).

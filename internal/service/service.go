@@ -40,6 +40,7 @@ import (
 	"nwforest/internal/persist"
 	"nwforest/internal/telemetry"
 	"nwforest/internal/trace"
+	"nwforest/internal/verify"
 )
 
 // Config sizes a Service. The zero value gets sensible defaults.
@@ -1113,8 +1114,10 @@ func (s *Service) tryIncremental(ctx context.Context, g *graph.Graph, spec JobSp
 	}
 	// The maintainer's compaction order matches Mutate's, so the colors
 	// line up with this version's edge IDs; verify against the store's
-	// graph (the source of truth), not the maintainer's copy.
-	if err := nwforest.Verify(g, colors, k); err != nil {
+	// graph (the source of truth), not the maintainer's copy. One class
+	// walk checks the forests and measures the diameter.
+	diameter, err := verify.Forests(g, colors, k)
+	if err != nil {
 		return nil, false
 	}
 	stats := m.Stats()
@@ -1123,7 +1126,7 @@ func (s *Service) tryIncremental(ctx context.Context, g *graph.Graph, spec JobSp
 	return &JobResult{Decomposition: &nwforest.Decomposition{
 		Colors:     colors,
 		NumForests: k,
-		Diameter:   nwforest.Diameter(g, colors),
+		Diameter:   diameter,
 		Rounds:     cost.Rounds(),
 		Phases:     cost.Breakdown(),
 	}}, true
