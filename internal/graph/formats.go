@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -177,58 +178,55 @@ func peekLine(br *bufio.Reader) (string, error) {
 // count must match the problem line exactly and unrecognized lines are
 // errors, so truncated or concatenated files are rejected.
 func DecodeDIMACS(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	lr := newLineReader(r)
 	n, m := -1, -1
 	var edges []Edge
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == 'c' {
+	for lr.scan() {
+		line := lr.line
+		if len(line) == 0 || line[0] == 'c' {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		nf := lr.split()
+		switch string(lr.field(0)) {
 		case "p":
 			if n >= 0 {
-				return nil, fmt.Errorf("dimacs: line %d: duplicate problem line", lineno)
+				return nil, fmt.Errorf("dimacs: line %d: duplicate problem line", lr.lineno)
 			}
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("dimacs: line %d: bad problem line %q", lineno, line)
+			if nf != 4 {
+				return nil, fmt.Errorf("dimacs: line %d: bad problem line %q", lr.lineno, line)
 			}
 			var err error
-			if n, err = strconv.Atoi(fields[2]); err != nil || n < 0 || n > maxHeaderCount {
-				return nil, fmt.Errorf("dimacs: line %d: bad vertex count %q", lineno, fields[2])
+			if n, err = atoi(lr.field(2)); err != nil || n < 0 || n > maxHeaderCount {
+				return nil, fmt.Errorf("dimacs: line %d: bad vertex count %q", lr.lineno, lr.field(2))
 			}
-			if m, err = strconv.Atoi(fields[3]); err != nil || m < 0 || m > maxHeaderCount {
-				return nil, fmt.Errorf("dimacs: line %d: bad edge count %q", lineno, fields[3])
+			if m, err = atoi(lr.field(3)); err != nil || m < 0 || m > maxHeaderCount {
+				return nil, fmt.Errorf("dimacs: line %d: bad edge count %q", lr.lineno, lr.field(3))
 			}
 			edges = make([]Edge, 0, min(m, preallocCap))
 		case "e":
 			if n < 0 {
-				return nil, fmt.Errorf("dimacs: line %d: edge before problem line", lineno)
+				return nil, fmt.Errorf("dimacs: line %d: edge before problem line", lr.lineno)
 			}
-			if len(fields) != 3 && len(fields) != 4 { // optional trailing weight
-				return nil, fmt.Errorf("dimacs: line %d: bad edge line %q", lineno, line)
+			if nf != 3 && nf != 4 { // optional trailing weight
+				return nil, fmt.Errorf("dimacs: line %d: bad edge line %q", lr.lineno, line)
 			}
-			u, err := strconv.Atoi(fields[1])
+			u, err := atoi(lr.field(1))
 			if err != nil {
-				return nil, fmt.Errorf("dimacs: line %d: bad endpoint %q", lineno, fields[1])
+				return nil, fmt.Errorf("dimacs: line %d: bad endpoint %q", lr.lineno, lr.field(1))
 			}
-			v, err := strconv.Atoi(fields[2])
+			v, err := atoi(lr.field(2))
 			if err != nil {
-				return nil, fmt.Errorf("dimacs: line %d: bad endpoint %q", lineno, fields[2])
+				return nil, fmt.Errorf("dimacs: line %d: bad endpoint %q", lr.lineno, lr.field(2))
 			}
 			if u < 1 || u > n || v < 1 || v > n {
-				return nil, fmt.Errorf("dimacs: line %d: endpoint out of range 1..%d in %q", lineno, n, line)
+				return nil, fmt.Errorf("dimacs: line %d: endpoint out of range 1..%d in %q", lr.lineno, n, line)
 			}
 			edges = append(edges, Edge{U: int32(u - 1), V: int32(v - 1)})
 		default:
-			return nil, fmt.Errorf("dimacs: line %d: unrecognized line %q", lineno, line)
+			return nil, fmt.Errorf("dimacs: line %d: unrecognized line %q", lr.lineno, line)
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.sc.Err(); err != nil {
 		return nil, err
 	}
 	if n < 0 {
@@ -252,62 +250,59 @@ func DecodeDIMACS(r io.Reader) (*Graph, error) {
 // weights ('x1x', with ncon values per vertex) and edge weights ('xx1')
 // are parsed and discarded, since this package's graphs are unweighted.
 func DecodeMETIS(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	lineno := 0
-	readLine := func() (string, bool) {
-		for sc.Scan() {
-			lineno++
-			line := sc.Text()
-			if t := strings.TrimSpace(line); t != "" && t[0] == '%' {
-				continue
+	lr := newLineReader(r)
+	readLine := func() bool {
+		for lr.scan() {
+			if len(lr.line) == 0 || lr.line[0] != '%' {
+				return true
 			}
-			return line, true
 		}
-		return "", false
+		return false
 	}
 	// Header (blank lines before it are not meaningful, skip them).
-	var header string
 	for {
-		line, ok := readLine()
-		if !ok {
+		if !readLine() {
 			return nil, fmt.Errorf("metis: missing header line")
 		}
-		if header = strings.TrimSpace(line); header != "" {
+		if len(lr.line) != 0 {
 			break
 		}
 	}
-	fields := strings.Fields(header)
-	if len(fields) < 2 || len(fields) > 4 {
-		return nil, fmt.Errorf("metis: bad header %q", header)
+	nf := lr.split()
+	if nf < 2 || nf > 4 {
+		return nil, fmt.Errorf("metis: bad header %q", lr.line)
 	}
-	n, err := strconv.Atoi(fields[0])
+	n, err := atoi(lr.field(0))
 	if err != nil || n < 0 || n > maxHeaderCount {
-		return nil, fmt.Errorf("metis: bad vertex count %q", fields[0])
+		return nil, fmt.Errorf("metis: bad vertex count %q", lr.field(0))
 	}
-	m, err := strconv.Atoi(fields[1])
+	m, err := atoi(lr.field(1))
 	if err != nil || m < 0 || m > maxHeaderCount {
-		return nil, fmt.Errorf("metis: bad edge count %q", fields[1])
+		return nil, fmt.Errorf("metis: bad edge count %q", lr.field(1))
 	}
 	var hasVSize, hasVWeight, hasEWeight bool
-	if len(fields) >= 3 {
-		f := fields[2]
-		if len(f) > 3 || strings.Trim(f, "01") != "" {
+	if nf >= 3 {
+		f := lr.field(2)
+		if len(f) > 3 || len(bytes.Trim(f, "01")) != 0 {
 			return nil, fmt.Errorf("metis: bad fmt field %q", f)
 		}
-		f = strings.Repeat("0", 3-len(f)) + f
-		hasVSize, hasVWeight, hasEWeight = f[0] == '1', f[1] == '1', f[2] == '1'
+		// Up to three binary digits, missing leading ones zero.
+		bits := 0
+		for _, c := range f {
+			bits = bits<<1 | int(c-'0')
+		}
+		hasVSize, hasVWeight, hasEWeight = bits&4 != 0, bits&2 != 0, bits&1 != 0
 	}
 	ncon := 0
 	if hasVWeight {
 		ncon = 1
 	}
-	if len(fields) == 4 {
-		if ncon, err = strconv.Atoi(fields[3]); err != nil || ncon < 1 {
-			return nil, fmt.Errorf("metis: bad ncon field %q", fields[3])
+	if nf == 4 {
+		if ncon, err = atoi(lr.field(3)); err != nil || ncon < 1 {
+			return nil, fmt.Errorf("metis: bad ncon field %q", lr.field(3))
 		}
 		if !hasVWeight {
-			return nil, fmt.Errorf("metis: ncon given but fmt %q declares no vertex weights", fields[2])
+			return nil, fmt.Errorf("metis: ncon given but fmt %q declares no vertex weights", lr.field(2))
 		}
 	}
 	skip := ncon // leading per-vertex tokens to discard
@@ -320,32 +315,30 @@ func DecodeMETIS(r io.Reader) (*Graph, error) {
 		// EOF after the last edge-bearing line stands for trailing
 		// degree-0 vertices; the m reconciliation below still catches
 		// files truncated mid-edges.
-		line, ok := readLine()
-		if !ok {
+		if !readLine() {
 			break
 		}
-		toks := strings.Fields(line)
-		if len(toks) < skip {
-			return nil, fmt.Errorf("metis: line %d: vertex %d has %d tokens, fmt requires at least %d", lineno, u, len(toks), skip)
+		nf := lr.split()
+		if nf < skip {
+			return nil, fmt.Errorf("metis: line %d: vertex %d has %d tokens, fmt requires at least %d", lr.lineno, u, nf, skip)
 		}
-		toks = toks[skip:]
-		if hasEWeight && len(toks)%2 != 0 {
-			return nil, fmt.Errorf("metis: line %d: vertex %d has an odd neighbor/weight list", lineno, u)
+		if hasEWeight && (nf-skip)%2 != 0 {
+			return nil, fmt.Errorf("metis: line %d: vertex %d has an odd neighbor/weight list", lr.lineno, u)
 		}
 		step := 1
 		if hasEWeight {
 			step = 2
 		}
-		for i := 0; i < len(toks); i += step {
-			v, err := strconv.Atoi(toks[i])
+		for i := skip; i < nf; i += step {
+			v, err := atoi(lr.field(i))
 			if err != nil {
-				return nil, fmt.Errorf("metis: line %d: bad neighbor %q", lineno, toks[i])
+				return nil, fmt.Errorf("metis: line %d: bad neighbor %q", lr.lineno, lr.field(i))
 			}
 			if v < 1 || v > n {
-				return nil, fmt.Errorf("metis: line %d: neighbor %d out of range 1..%d", lineno, v, n)
+				return nil, fmt.Errorf("metis: line %d: neighbor %d out of range 1..%d", lr.lineno, v, n)
 			}
 			if v == u {
-				return nil, fmt.Errorf("metis: line %d: self-loop at vertex %d", lineno, u)
+				return nil, fmt.Errorf("metis: line %d: self-loop at vertex %d", lr.lineno, u)
 			}
 			entries++
 			if u < v {
@@ -353,16 +346,12 @@ func DecodeMETIS(r io.Reader) (*Graph, error) {
 			}
 		}
 	}
-	for {
-		line, ok := readLine()
-		if !ok {
-			break
-		}
-		if t := strings.TrimSpace(line); t != "" {
-			return nil, fmt.Errorf("metis: line %d: trailing content after %d vertex lines: %q", lineno, n, t)
+	for readLine() {
+		if len(lr.line) != 0 {
+			return nil, fmt.Errorf("metis: line %d: trailing content after %d vertex lines: %q", lr.lineno, n, lr.line)
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.sc.Err(); err != nil {
 		return nil, err
 	}
 	if len(edges) != m || entries != 2*m {

@@ -395,7 +395,7 @@ func (s *Service) openPersistence() error {
 		// Re-ingest through the normal path (pre-attach, so nothing is
 		// re-persisted): the graph is re-parsed, warmed, and the upload
 		// budget is enforced in original ingest order.
-		added, err := s.store.add(g.Data, graph.Format(g.Format), "", g.Parent, mut)
+		added, err := s.store.add(g.Data, graph.Format(g.Format), nil, "", g.Parent, mut)
 		if err != nil {
 			info.Corrupt++
 			continue

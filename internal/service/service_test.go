@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -145,6 +146,73 @@ func TestStoreFileBacked(t *testing.T) {
 	}
 	if _, err := st.Get(info.ID); err == nil {
 		t.Fatal("Get served a graph whose backing file changed")
+	}
+}
+
+// TestMutateChildIDGolden pins the ID Mutate gives a fixed child of a
+// fixed forest union. The ID is the SHA-256 of graph.Encode's bytes, so
+// a drifted byte would give every derived graph a new address and orphan
+// the graphs already persisted in data dirs. Both values were recorded
+// with the fmt.Fprintf encoder.
+func TestMutateChildIDGolden(t *testing.T) {
+	st := NewStore(4, 0)
+	parent, err := st.AddBytes(encode(t, gen.ForestUnion(64, 3, 1)), graph.FormatAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err := st.Mutate(parent.ID, Mutation{Insert: [][2]int32{{0, 63}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ got, want string }{
+		{parent.ID, "sha256:6be9577f344439dea1044d3fde41b5975f4d34812cb490a02d56ada142cf5805"},
+		{child.ID, "sha256:2e5d3c1abcd410591e30d916268a39255f0e9cfee4c04508a77136a05dd9ead8"},
+	} {
+		if c.got != c.want {
+			t.Errorf("ID %s, want %s", c.got, c.want)
+		}
+	}
+}
+
+// TestMutateChildMatchesSource checks that the graph Mutate warms (the
+// derived graph, not a parse of its encoding) is the graph its retained
+// bytes decode to, and that a re-parse after eviction serves the same.
+func TestMutateChildMatchesSource(t *testing.T) {
+	st := NewStore(1, 0) // room for a single warm graph
+	parent, err := st.AddBytes(encode(t, gen.ForestUnion(200, 3, 5)), graph.FormatAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err := st.Mutate(parent.ID, Mutation{Insert: [][2]int32{{0, 199}, {7, 8}}, Delete: []int32{0, 5, 17}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, format, err := st.SourceData(child.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := graph.DecodeFormat(bytes.NewReader(data), format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		g, err := st.Get(child.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.N() != want.N() || !slices.Equal(g.Edges(), want.Edges()) {
+			t.Fatalf("%s: Get returned n=%d m=%d, its source decodes to n=%d m=%d", when, g.N(), g.M(), want.N(), want.M())
+		}
+	}
+	check("warm")
+	if _, err := st.Get(parent.ID); err != nil { // evicts the child
+		t.Fatal(err)
+	}
+	reparses := st.Stats().Reparses
+	check("after eviction")
+	if got := st.Stats().Reparses; got != reparses+1 {
+		t.Fatalf("reparses %d, want %d: the child was not evicted and re-parsed", got, reparses+1)
 	}
 }
 

@@ -181,7 +181,7 @@ func hashID(f graph.Format, data []byte) string {
 // (FormatAuto detects it). Re-adding identical bytes is idempotent and
 // returns the existing entry.
 func (s *Store) AddBytes(data []byte, f graph.Format) (GraphInfo, error) {
-	return s.add(data, f, "", "", nil)
+	return s.add(data, f, nil, "", "", nil)
 }
 
 // AddFile ingests a graph from a file on the server's filesystem. Only
@@ -193,14 +193,15 @@ func (s *Store) AddFile(path string, f graph.Format) (GraphInfo, error) {
 	if err != nil {
 		return GraphInfo{}, err
 	}
-	return s.add(data, f, path, "", nil)
+	return s.add(data, f, nil, path, "", nil)
 }
 
 // Mutate derives a new graph version from parent by applying mut (all
 // deletions, then all insertions — see Mutation), re-encodes the result
 // in the plain wire format, and ingests it like an upload: the child is
 // content-addressed, counts against the retention budget, and is warmed
-// immediately. The returned info carries the parent link; the batch is
+// immediately with the derived graph itself (the encoding is hashed and
+// retained, not parsed back). The returned info carries the parent link; the batch is
 // retained so incremental jobs can replay it against the parent's
 // cached decomposition.
 func (s *Store) Mutate(parent string, mut Mutation) (GraphInfo, error) {
@@ -227,7 +228,7 @@ func (s *Store) Mutate(parent string, mut Mutation) (GraphInfo, error) {
 	if err := graph.Encode(&buf, dg.Base()); err != nil {
 		return GraphInfo{}, err
 	}
-	info, err := s.add(buf.Bytes(), graph.FormatPlain, "", parent, &mut)
+	info, err := s.add(buf.Bytes(), graph.FormatPlain, dg.Base(), "", parent, &mut)
 	if err == nil {
 		s.mu.Lock()
 		s.mutations++
@@ -248,7 +249,10 @@ func (s *Store) MutationOf(id string) (parent string, mut Mutation, ok bool) {
 	return src.info.Parent, *src.mut, true
 }
 
-func (s *Store) add(data []byte, f graph.Format, path, parent string, mut *Mutation) (GraphInfo, error) {
+// add ingests data in format f. g is the graph data decodes to when the
+// caller already holds it (Mutate, which encoded it), or nil to decode
+// data here.
+func (s *Store) add(data []byte, f graph.Format, g *graph.Graph, path, parent string, mut *Mutation) (GraphInfo, error) {
 	format, err := resolveFormat(data, f)
 	if err != nil {
 		return GraphInfo{}, err
@@ -262,9 +266,10 @@ func (s *Store) add(data []byte, f graph.Format, path, parent string, mut *Mutat
 	}
 	s.mu.Unlock()
 
-	g, err := graph.DecodeFormat(bytes.NewReader(data), format)
-	if err != nil {
-		return GraphInfo{}, err
+	if g == nil {
+		if g, err = graph.DecodeFormat(bytes.NewReader(data), format); err != nil {
+			return GraphInfo{}, err
+		}
 	}
 	info := GraphInfo{ID: id, N: g.N(), M: g.M(), Format: string(format), Bytes: int64(len(data)), Parent: parent}
 	src := &graphSource{info: info, path: path, mut: mut}
