@@ -341,12 +341,9 @@ func Run(ctx context.Context, g *graph.Graph, req Request) (*Result, error) {
 		return nil, err
 	}
 	var cost dist.Cost
-	// A progress hook riding on ctx (dist.WithProgress — the service's
-	// per-job SSE stream) observes this run's cost as it accrues; a span
-	// observer (dist.WithSpans — the service's per-job trace recorder)
-	// additionally sees traffic charges and sampled simulated rounds.
-	progress, spans := dist.ObserversFromContext(ctx)
-	cost.SetProgress(progress)
-	cost.SetSpans(spans)
+	// An observer riding on ctx (dist.WithObserver — the service's
+	// per-job event hub, which feeds SSE and the trace recorder) watches
+	// this run's cost as it accrues.
+	cost.SetObserver(dist.ObserverFromContext(ctx))
 	return d.Run(ctx, g, d.Normalize(req), &cost)
 }

@@ -22,20 +22,9 @@ func (o Options) rule() core.CutRule {
 	return core.CutModDepth
 }
 
-// FullPalettes builds m palettes all equal to {0..k-1}, sharing one
-// backing slice; the uniform-palette form the list variants run with
-// when no explicit palettes are supplied.
-func FullPalettes(m, k int) [][]int32 {
-	pal := make([]int32, k)
-	for i := range pal {
-		pal[i] = int32(i)
-	}
-	out := make([][]int32, m)
-	for i := range out {
-		out[i] = pal
-	}
-	return out
-}
+// FullPalettes builds m palettes all equal to {0..k-1} (see
+// core.FullPalettes).
+func FullPalettes(m, k int) [][]int32 { return core.FullPalettes(m, k) }
 
 // listPaletteSize is the palette size "list" runs with (Theorem 4.10
 // needs ceil((1+eps)*alpha) colors per palette).

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"time"
 
 	"nwforest/internal/dist"
 	"nwforest/internal/forest"
@@ -50,22 +49,11 @@ type Algo2Options struct {
 	// vertex-disjoint, and after the mod-depth CUT each ball contains
 	// every read and write of its cluster's augmentation (see algo2Run).
 	Workers int
-	// PhaseNs, when non-nil, receives wall-clock phase timings of this
-	// run (benchmark instrumentation; no effect on the result).
-	PhaseNs *Algo2PhaseNs
 	// Checkpoint, when non-nil, is offered a servable snapshot at every
 	// phase cut (run start and after each network-decomposition class,
 	// next to the core/algorithm2-class round charge). It never touches
 	// the run's randomness or cost, so results stay bit-identical.
 	Checkpoint *Checkpointer
-}
-
-// Algo2PhaseNs reports where RunAlgorithm2's wall-clock time went:
-// the (sequential) network decomposition versus the per-cluster CUT +
-// augmentation phase that Workers parallelizes.
-type Algo2PhaseNs struct {
-	NetdecompNs int64
-	ClustersNs  int64
 }
 
 // parallelClusterThreshold is the vertex count above which Workers == 0
@@ -169,13 +157,9 @@ func RunAlgorithm2(ctx context.Context, g *graph.Graph, opts Algo2Options, cost 
 		return res, nil
 	}
 
-	tND := time.Now()
 	nd, err := netdecomp.Decompose(g, unit, src.Split(1).Uint64(), cost)
 	if err != nil {
 		return nil, fmt.Errorf("core: network decomposition: %w", err)
-	}
-	if opts.PhaseNs != nil {
-		opts.PhaseNs.NetdecompNs = time.Since(tND).Nanoseconds()
 	}
 	res.Stats.Classes = nd.NumClasses
 
@@ -236,7 +220,6 @@ func RunAlgorithm2(ctx context.Context, g *graph.Graph, opts Algo2Options, cost 
 	}
 	logN := int(math.Ceil(math.Log2(float64(g.N() + 2))))
 
-	tCl := time.Now()
 	if workers > 1 {
 		rn.pool = newA2Pool(workers, st)
 		defer rn.pool.close()
@@ -267,9 +250,6 @@ func RunAlgorithm2(ctx context.Context, g *graph.Graph, opts Algo2Options, cost 
 		if opts.Checkpoint != nil {
 			opts.Checkpoint.Offer(st.Colors(), fmt.Sprintf("algorithm2/class-%d", class))
 		}
-	}
-	if opts.PhaseNs != nil {
-		opts.PhaseNs.ClustersNs = time.Since(tCl).Nanoseconds()
 	}
 	return res, nil
 }

@@ -14,7 +14,7 @@ func TestRunAlgorithm2ProducesValidPartial(t *testing.T) {
 	k := 4
 	var cost dist.Cost
 	res, err := RunAlgorithm2(context.Background(), g, Algo2Options{
-		Palettes: fullPalette(g.M(), k),
+		Palettes: FullPalettes(g.M(), k),
 		Alpha:    3,
 		Eps:      0.5,
 		Seed:     5,
@@ -56,7 +56,7 @@ func TestRunAlgorithm2RejectsBadPalettes(t *testing.T) {
 
 func TestRunAlgorithm2EmptyGraph(t *testing.T) {
 	g := gen.RandomTree(1, 1)
-	res, err := RunAlgorithm2(context.Background(), g, Algo2Options{Palettes: fullPalette(0, 2), Alpha: 1, Eps: 0.5}, nil)
+	res, err := RunAlgorithm2(context.Background(), g, Algo2Options{Palettes: FullPalettes(0, 2), Alpha: 1, Eps: 0.5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRunAlgorithm2EmptyGraph(t *testing.T) {
 func TestRunAlgorithm2ExplicitRadii(t *testing.T) {
 	g := gen.ForestUnion(200, 3, 3)
 	res, err := RunAlgorithm2(context.Background(), g, Algo2Options{
-		Palettes: fullPalette(g.M(), 4),
+		Palettes: FullPalettes(g.M(), 4),
 		Alpha:    3,
 		Eps:      0.5,
 		Seed:     1,
@@ -93,7 +93,7 @@ func TestRunAlgorithm2ExplicitRadii(t *testing.T) {
 func TestRunAlgorithm2SequenceStatsBounded(t *testing.T) {
 	g := gen.ForestUnion(250, 4, 9)
 	res, err := RunAlgorithm2(context.Background(), g, Algo2Options{
-		Palettes: fullPalette(g.M(), 5),
+		Palettes: FullPalettes(g.M(), 5),
 		Alpha:    4,
 		Eps:      0.25,
 		Seed:     2,

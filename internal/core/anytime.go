@@ -7,7 +7,7 @@ import (
 )
 
 // Checkpointer captures servable snapshots of an in-flight decomposition
-// at its phase boundaries (the anytime mode of ROADMAP item 3). The
+// at its phase boundaries (the service's anytime mode). The
 // paper's algorithms are phase-structured: after every Algorithm 2 class
 // — and after the leftover recoloring — the partial coloring is a valid
 // partial forest decomposition, so completing its uncolored edges with

@@ -10,19 +10,6 @@ import (
 	"nwforest/internal/verify"
 )
 
-// fullPalettes gives every edge the palette {0, ..., k-1}.
-func fullPalettes(m int, k int) [][]int32 {
-	pal := make([]int32, k)
-	for i := range pal {
-		pal[i] = int32(i)
-	}
-	out := make([][]int32, m)
-	for i := range out {
-		out[i] = pal
-	}
-	return out
-}
-
 // saturate colors every edge of g by repeated augmentation and returns the
 // final state; it fails the test if any edge cannot be colored.
 func saturate(t *testing.T, g *graph.Graph, palettes [][]int32) *forest.State {
@@ -46,7 +33,7 @@ func saturate(t *testing.T, g *graph.Graph, palettes [][]int32) *forest.State {
 
 func TestAugmentSaturatesTriangleWithTwoColors(t *testing.T) {
 	g := gen.Clique(3) // arboricity 2
-	st := saturate(t, g, fullPalettes(g.M(), 2))
+	st := saturate(t, g, FullPalettes(g.M(), 2))
 	if err := verify.ForestDecomposition(g, st.Colors(), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +42,7 @@ func TestAugmentSaturatesTriangleWithTwoColors(t *testing.T) {
 func TestAugmentSaturatesForestUnionAtOnePlusEps(t *testing.T) {
 	// alpha = 3, palettes of size 4 = (1+1/3)*alpha.
 	g := gen.ForestUnion(80, 3, 1)
-	st := saturate(t, g, fullPalettes(g.M(), 4))
+	st := saturate(t, g, FullPalettes(g.M(), 4))
 	if err := verify.ForestDecomposition(g, st.Colors(), 4); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +50,7 @@ func TestAugmentSaturatesForestUnionAtOnePlusEps(t *testing.T) {
 
 func TestAugmentSaturatesMultigraph(t *testing.T) {
 	g := gen.LineMultigraph(30, 3)
-	st := saturate(t, g, fullPalettes(g.M(), 4))
+	st := saturate(t, g, FullPalettes(g.M(), 4))
 	if err := verify.ForestDecomposition(g, st.Colors(), 4); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +59,7 @@ func TestAugmentSaturatesMultigraph(t *testing.T) {
 func TestAugmentKeepsPartialValidityAfterEveryStep(t *testing.T) {
 	// Lemma 3.1: validity is maintained after every single augmentation.
 	g := gen.ForestUnion(40, 2, 5)
-	palettes := fullPalettes(g.M(), 3)
+	palettes := FullPalettes(g.M(), 3)
 	st := forest.New(g)
 	for id := int32(0); int(id) < g.M(); id++ {
 		seq, _ := FindAugmenting(st, palettes, id, nil, nil, 0)
@@ -112,7 +99,7 @@ func TestAugmentRespectsLists(t *testing.T) {
 func TestAugmentSequenceShapeInvariants(t *testing.T) {
 	// Proposition C.2: consecutive steps use distinct edges and colors.
 	g := gen.ForestUnion(60, 3, 3)
-	palettes := fullPalettes(g.M(), 4)
+	palettes := FullPalettes(g.M(), 4)
 	st := forest.New(g)
 	for id := int32(0); int(id) < g.M(); id++ {
 		seq, _ := FindAugmenting(st, palettes, id, nil, nil, 0)
@@ -135,7 +122,7 @@ func TestAugmentLengthAndRadiusBounds(t *testing.T) {
 	// Theorem 3.2: length and radius are O(log n / eps). With palettes of
 	// size (1+1)alpha (eps=1) the bound is ~log_2(m); verify generously.
 	g := gen.ForestUnion(200, 2, 9)
-	palettes := fullPalettes(g.M(), 4)
+	palettes := FullPalettes(g.M(), 4)
 	st := forest.New(g)
 	bound := 4*int(math.Log2(float64(g.M()))) + 8
 	for id := int32(0); int(id) < g.M(); id++ {
@@ -157,7 +144,7 @@ func TestAugmentTightPalette(t *testing.T) {
 	// With exactly alpha colors, augmentation still saturates any graph of
 	// arboricity alpha (Seymour; the search may just range farther).
 	g := gen.ForestUnion(30, 2, 11)
-	st := saturate(t, g, fullPalettes(g.M(), 2))
+	st := saturate(t, g, FullPalettes(g.M(), 2))
 	if err := verify.ForestDecomposition(g, st.Colors(), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +153,7 @@ func TestAugmentTightPalette(t *testing.T) {
 func TestAugmentMaxVisitedCap(t *testing.T) {
 	g := gen.Clique(6) // arboricity 3
 	st := forest.New(g)
-	palettes := fullPalettes(g.M(), 3)
+	palettes := FullPalettes(g.M(), 3)
 	// Color greedily until some edge needs a real search, then cap it
 	// absurdly low and expect failure.
 	for id := int32(0); int(id) < g.M(); id++ {
@@ -188,7 +175,7 @@ func TestAugmentWithinSearchRestriction(t *testing.T) {
 	// Restricting the search region to the start edge's endpoints can
 	// only yield length-1 sequences (or failure).
 	g := gen.ForestUnion(40, 2, 13)
-	palettes := fullPalettes(g.M(), 3)
+	palettes := FullPalettes(g.M(), 3)
 	st := forest.New(g)
 	for id := int32(0); int(id) < g.M(); id++ {
 		e := g.Edge(id)
@@ -213,7 +200,7 @@ func TestGrowthIsGeometricUntilTermination(t *testing.T) {
 	// continues. We check growth factors averaged over a saturation run on
 	// a dense-ish instance where searches actually grow.
 	g := gen.Clique(12) // alpha = 6
-	palettes := fullPalettes(g.M(), 7)
+	palettes := FullPalettes(g.M(), 7)
 	st := forest.New(g)
 	for id := int32(0); int(id) < g.M(); id++ {
 		seq, stats := FindAugmenting(st, palettes, id, nil, nil, 0)

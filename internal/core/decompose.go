@@ -35,9 +35,6 @@ type FDOptions struct {
 	// Workers bounds the parallel cluster phase (see Algo2Options.Workers;
 	// results are bit-identical for every setting).
 	Workers int
-	// PhaseNs, when non-nil, receives Algorithm 2 phase timings of the
-	// final attempt (benchmark instrumentation).
-	PhaseNs *Algo2PhaseNs
 	// Checkpoint, when non-nil, collects anytime snapshots at every phase
 	// cut (Algorithm 2 classes and the post-leftover coloring); it has no
 	// effect on the run's result. Retried attempts keep offering into the
@@ -105,7 +102,7 @@ func forestDecompositionOnce(ctx context.Context, g *graph.Graph, opts FDOptions
 		k = opts.Alpha + 1
 	}
 	a2, err := RunAlgorithm2(ctx, g, Algo2Options{
-		Palettes:   fullPalette(g.M(), k),
+		Palettes:   FullPalettes(g.M(), k),
 		Alpha:      opts.Alpha,
 		Eps:        opts.Eps,
 		Rule:       opts.Rule,
@@ -113,7 +110,6 @@ func forestDecompositionOnce(ctx context.Context, g *graph.Graph, opts FDOptions
 		RPrime:     opts.RPrime,
 		R:          opts.R,
 		Workers:    opts.Workers,
-		PhaseNs:    opts.PhaseNs,
 		Checkpoint: opts.Checkpoint,
 	}, cost)
 	if err != nil {
@@ -196,9 +192,11 @@ func recolorLeftover(ctx context.Context, g *graph.Graph, colors []int32, leftov
 	}
 }
 
-// fullPalette builds m copies of the palette {0..k-1} sharing one backing
-// slice.
-func fullPalette(m, k int) [][]int32 {
+// FullPalettes builds m palettes all equal to {0..k-1}, sharing one
+// backing slice: the uniform palette of plain forest decomposition, and
+// the one the list variants run with when no explicit palettes are
+// supplied.
+func FullPalettes(m, k int) [][]int32 {
 	pal := make([]int32, k)
 	for i := range pal {
 		pal[i] = int32(i)

@@ -229,7 +229,7 @@ func TestCutModDepthDisconnects(t *testing.T) {
 func TestCutSampledRespectsLoadCap(t *testing.T) {
 	g := gen.ForestUnion(200, 3, 8)
 	// Color everything via saturation.
-	palettes := fullPalette(g.M(), 4)
+	palettes := FullPalettes(g.M(), 4)
 	st := forest.New(g)
 	for id := int32(0); int(id) < g.M(); id++ {
 		seq, _ := FindAugmenting(st, palettes, id, nil, nil, 0)

@@ -15,7 +15,7 @@ import (
 func runA2(t *testing.T, g *graph.Graph, rule CutRule, seed uint64, workers, rPrime, r int) ([]int32, []int32, Algo2Stats) {
 	t.Helper()
 	res, err := RunAlgorithm2(context.Background(), g, Algo2Options{
-		Palettes: fullPalette(g.M(), 6),
+		Palettes: FullPalettes(g.M(), 6),
 		Alpha:    4,
 		Eps:      0.5,
 		Rule:     rule,
@@ -96,7 +96,7 @@ func TestParallelEndToEndDecomposition(t *testing.T) {
 // TestParallelListFD covers the list-palette path.
 func TestParallelListFD(t *testing.T) {
 	g := gen.Gnm(2200, 6600, 3)
-	pal := fullPalette(g.M(), 14)
+	pal := FullPalettes(g.M(), 14)
 	var want *LFDResult
 	for _, workers := range []int{1, 4} {
 		res, err := ListForestDecomposition(context.Background(), g, LFDOptions{

@@ -125,7 +125,7 @@ func TestFindAugmentingMatchesPathFirst(t *testing.T) {
 		for seed := uint64(1); seed <= 8; seed++ {
 			g := tc.g
 			r := rng.New(seed)
-			palettes := fullPalettes(g.M(), tc.k)
+			palettes := FullPalettes(g.M(), tc.k)
 			if tc.lists {
 				palettes = randomLists(g.M(), tc.k, r)
 			}
@@ -227,7 +227,7 @@ func TestFindAugmentingAllocs(t *testing.T) {
 	}
 	colors[start] = verify.Uncolored
 	st := forest.FromColors(g, colors)
-	palettes := fullPalettes(g.M(), k+1)
+	palettes := FullPalettes(g.M(), k+1)
 	s := NewSearcher(st)
 	want := Sequence{{Edge: start, Color: k}}
 	if seq, _ := s.FindAugmenting(palettes, start, nil, nil, 0); !reflect.DeepEqual(seq, want) {

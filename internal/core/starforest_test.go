@@ -118,7 +118,7 @@ func TestLSFD24Empty(t *testing.T) {
 func TestSplitColorsClustering(t *testing.T) {
 	g := gen.ForestUnion(200, 4, 5)
 	k := 40 // pretend alpha=32 with eps=0.25: big palettes for splitting
-	palettes := fullPalette(g.M(), k)
+	palettes := FullPalettes(g.M(), k)
 	var cost dist.Cost
 	split, err := SplitColors(context.Background(), g, palettes, SplitOptions{
 		Variant: SplitByClustering, Eps: 0.5, Alpha: 32, Seed: 3,
@@ -155,7 +155,7 @@ func TestSplitColorsClustering(t *testing.T) {
 func TestSplitColorsLLL(t *testing.T) {
 	g := gen.SimpleForestUnion(150, 4, 7)
 	k := 48
-	palettes := fullPalette(g.M(), k)
+	palettes := FullPalettes(g.M(), k)
 	split, err := SplitColors(context.Background(), g, palettes, SplitOptions{
 		Variant: SplitByLLL, Eps: 0.5, Alpha: 40, Seed: 9,
 		ReserveProb: 0.35, MinMain: 16, MinReserve: 1,
@@ -173,7 +173,7 @@ func TestSplitColorsLLL(t *testing.T) {
 
 func TestSplitSideIsConsistent(t *testing.T) {
 	g := gen.Grid(5, 5)
-	palettes := fullPalette(g.M(), 10)
+	palettes := FullPalettes(g.M(), 10)
 	split, err := SplitColors(context.Background(), g, palettes, SplitOptions{Eps: 0.5, Alpha: 8, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -28,10 +28,8 @@ type Phase struct {
 type Cost struct {
 	phases []Phase
 	index  map[string]int
-	// progress, when set, observes every round charge (see SetProgress).
-	progress Progress
-	// spans, when set, observes every charge for tracing (see SetSpans).
-	spans SpanObserver
+	// obs, when set, observes every charge (see SetObserver).
+	obs Observer
 }
 
 // phase returns the accumulator for the named phase, appending it in
@@ -59,11 +57,8 @@ func (c *Cost) Charge(rounds int, phase string) {
 	if rounds > 0 {
 		p.Rounds += rounds
 	}
-	if c.progress != nil {
-		c.progress(p.Name, p.Rounds, c.Rounds())
-	}
-	if c.spans != nil {
-		c.spans.PhaseCharged(p.Name, p.Rounds, c.Rounds())
+	if c.obs != nil {
+		c.obs.PhaseCharged(p.Name, p.Rounds, c.Rounds())
 	}
 }
 
@@ -79,11 +74,8 @@ func (c *Cost) ChargeMax(rounds int, phase string) {
 	if rounds > p.Rounds {
 		p.Rounds = rounds
 	}
-	if c.progress != nil {
-		c.progress(p.Name, p.Rounds, c.Rounds())
-	}
-	if c.spans != nil {
-		c.spans.PhaseCharged(p.Name, p.Rounds, c.Rounds())
+	if c.obs != nil {
+		c.obs.PhaseCharged(p.Name, p.Rounds, c.Rounds())
 	}
 }
 
@@ -100,8 +92,8 @@ func (c *Cost) ChargeMessages(msgs, bits int64, phase string) {
 	if bits > 0 {
 		p.Bits += bits
 	}
-	if c.spans != nil {
-		c.spans.TrafficCharged(p.Name, msgs, bits)
+	if c.obs != nil {
+		c.obs.TrafficCharged(p.Name, msgs, bits)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package dist is the LOCAL/CONGEST cost accounting of the module: the
 // rounds, messages and bits every algorithm reports, and the observer
-// seams through which callers watch them accrue.
+// through which callers watch them accrue.
 //
 // # Model
 //
@@ -45,14 +45,17 @@
 //
 // # Observers
 //
-// Two observers watch a Cost, both handed down through the caller's
-// context (WithProgress, WithSpans) and installed on the Cost an
-// algorithm run allocates. A Progress hook sees every round charge (the
-// service's SSE progress stream); a SpanObserver also sees traffic
-// charges and every simulated round (the service's trace recorder). A
-// simulated protocol fetches the SpanObserver from its context once and
+// One Observer watches a Cost. It is handed down through the caller's
+// context (WithObserver) and installed on the Cost an algorithm run
+// allocates (SetObserver), and it sees every round charge, every
+// traffic charge and every simulated round. The service installs one
+// per job, the job's event hub, which turns round charges into SSE
+// progress events and forwards every call to the job's trace recorder,
+// which turns the same stream into phase spans; the big benchmark tier
+// attaches a trace recorder directly and reads its phase times. A
+// simulated protocol fetches the observer from its context once and
 // calls EngineRound after each round it steps, so the idle rounds a
-// stalled protocol charges are never observed. Without observers a
+// stalled protocol charges are never observed. Without an observer a
 // charge or a round costs one nil check, and attaching one adds no
 // allocation to the peel.
 package dist

@@ -251,7 +251,7 @@ func (m *Maintainer) augmentRepair(id int32) int32 {
 	id = m.freeze()[id]
 	g := m.dg.Base()
 	st := forest.FromColors(g, m.colors)
-	seq, stats := core.NewSearcher(st).FindAugmenting(fullPalettes(g.M(), m.numColors), id, nil, nil, 0)
+	seq, stats := core.NewSearcher(st).FindAugmenting(core.FullPalettes(g.M(), m.numColors), id, nil, nil, 0)
 	if seq == nil {
 		m.numColors++
 		m.setColor(id, int32(m.numColors-1))
@@ -428,18 +428,4 @@ func (m *Maintainer) nextEpoch() uint32 {
 		m.epoch = 1
 	}
 	return m.epoch
-}
-
-// fullPalettes builds m copies of {0..k-1} sharing one backing slice,
-// the palette shape the non-list pipeline uses.
-func fullPalettes(m, k int) [][]int32 {
-	pal := make([]int32, k)
-	for i := range pal {
-		pal[i] = int32(i)
-	}
-	out := make([][]int32, m)
-	for i := range out {
-		out[i] = pal
-	}
-	return out
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"nwforest/internal/core"
+	"nwforest/internal/dist"
 	"nwforest/internal/gen"
 	"nwforest/internal/graph"
+	"nwforest/internal/trace"
 	"nwforest/internal/verify"
 )
 
@@ -43,7 +46,7 @@ func BigRoad(cfg Config) (*Table, error) {
 	// augmenting searches overrun their radius; those edges land in the
 	// leftover, which is reported as a metric and stays a few percent.
 	opts := core.Algo2Options{
-		Palettes: fullPalettes(g.M(), 4),
+		Palettes: core.FullPalettes(g.M(), 4),
 		Alpha:    3, Eps: 0.5, Seed: cfg.Seed,
 		RPrime: 1, R: 2,
 	}
@@ -72,12 +75,12 @@ func BigRoad(cfg Config) (*Table, error) {
 			"seq_ns":          float64(seqNs),
 			"par_ns":          float64(parNs),
 			"speedup":         float64(seqNs) / float64(parNs),
-			"cluster_speedup": float64(seqPh.ClustersNs) / float64(parPh.ClustersNs),
+			"cluster_speedup": float64(seqPh.clusters) / float64(parPh.clusters),
 			"leftover":        float64(len(seq.Leftover)),
 		},
 	}
-	t.Rows = append(t.Rows, bigRowA2(1, g, seq, seqNs, seqPh))
-	t.Rows = append(t.Rows, bigRowA2(bigWorkers, g, par, parNs, parPh))
+	t.Rows = append(t.Rows, bigRow(1, g, seq.Stats, seqNs, seqPh))
+	t.Rows = append(t.Rows, bigRow(bigWorkers, g, par.Stats, parNs, parPh))
 	return t, nil
 }
 
@@ -116,8 +119,8 @@ func BigSocial(cfg Config) (*Table, error) {
 			"leftover": float64(seq.LeftoverEdges),
 		},
 	}
-	t.Rows = append(t.Rows, bigRow(1, g, seq, seqNs, seqPh))
-	t.Rows = append(t.Rows, bigRow(bigWorkers, g, par, parNs, parPh))
+	t.Rows = append(t.Rows, bigRow(1, g, seq.Stats, seqNs, seqPh))
+	t.Rows = append(t.Rows, bigRow(bigWorkers, g, par.Stats, parNs, parPh))
 	return t, nil
 }
 
@@ -190,28 +193,59 @@ func BigIngest(cfg Config) (*Table, error) {
 	return t, nil
 }
 
+// phaseSplit is where a run's Algorithm 2 wall time went: the
+// (sequential) network decomposition versus the per-cluster CUT +
+// augmentation phase that Workers parallelizes.
+type phaseSplit struct{ netdecomp, clusters time.Duration }
+
+// tracedCost returns a cost account observed by a trace recorder whose
+// phase clock starts at start.
+func tracedCost(start time.Time) (*dist.Cost, *trace.Recorder) {
+	rec := trace.NewRecorder("", start, 0)
+	rec.BeginExecution(start)
+	cost := &dist.Cost{}
+	cost.SetObserver(rec)
+	return cost, rec
+}
+
+// splitOf reads a traced run's phase split from its phases' self time:
+// the netdecomp/* phases and core/algorithm2-class, summed over every
+// attempt a retrying caller made.
+func splitOf(rec *trace.Recorder) phaseSplit {
+	var ph phaseSplit
+	for _, p := range rec.Phases() {
+		switch {
+		case p.Name == "core/algorithm2-class":
+			ph.clusters += p.Self
+		case strings.HasPrefix(p.Name, "netdecomp/"):
+			ph.netdecomp += p.Self
+		}
+	}
+	return ph
+}
+
 // timedFD runs the full forest decomposition with the given worker count
 // and returns the result, wall time, and the Algorithm 2 phase split.
-func timedFD(g *graph.Graph, opts core.FDOptions, workers int) (*core.FDResult, int64, core.Algo2PhaseNs, error) {
-	var ph core.Algo2PhaseNs
+func timedFD(g *graph.Graph, opts core.FDOptions, workers int) (*core.FDResult, int64, phaseSplit, error) {
 	opts.Workers = workers
-	opts.PhaseNs = &ph
 	start := time.Now()
-	res, err := core.ForestDecomposition(context.Background(), g, opts, nil)
-	return res, time.Since(start).Nanoseconds(), ph, err
+	cost, rec := tracedCost(start)
+	res, err := core.ForestDecomposition(context.Background(), g, opts, cost)
+	ns := time.Since(start).Nanoseconds()
+	return res, ns, splitOf(rec), err
 }
 
 // timedA2 runs Algorithm 2 alone — the phase the Workers option
 // parallelizes — without the end-to-end pipeline's verification and
 // leftover recoloring, which are sequential by design and would only
 // dilute the phase timing.
-func timedA2(g *graph.Graph, opts core.Algo2Options, workers int) (*core.Algo2Result, int64, core.Algo2PhaseNs, error) {
-	var ph core.Algo2PhaseNs
+func timedA2(g *graph.Graph, opts core.Algo2Options, workers int) (*core.Algo2Result, int64, phaseSplit, error) {
 	opts.Workers = workers
-	opts.PhaseNs = &ph
 	start := time.Now()
-	res, err := core.RunAlgorithm2(context.Background(), g, opts, nil)
-	return res, time.Since(start).Nanoseconds(), ph, err
+	cost, rec := tracedCost(start)
+	res, err := core.RunAlgorithm2(context.Background(), g, opts, cost)
+	ns := time.Since(start).Nanoseconds()
+	return res, ns, splitOf(rec), err
 }
 
 // sameColors enforces the parallel core's determinism contract.
@@ -227,18 +261,10 @@ func sameColors(a, b []int32) error {
 	return nil
 }
 
-func bigRow(workers int, g *graph.Graph, res *core.FDResult, ns int64, ph core.Algo2PhaseNs) []string {
+func bigRow(workers int, g *graph.Graph, stats core.Algo2Stats, ns int64, ph phaseSplit) []string {
 	return []string{
-		itoa(workers), itoa(g.N()), itoa(g.M()), itoa(res.Stats.Clusters),
-		itoa(int(ns / 1e6)), itoa(int(ph.ClustersNs / 1e6)), itoa(int(ph.NetdecompNs / 1e6)),
-		"ok",
-	}
-}
-
-func bigRowA2(workers int, g *graph.Graph, res *core.Algo2Result, ns int64, ph core.Algo2PhaseNs) []string {
-	return []string{
-		itoa(workers), itoa(g.N()), itoa(g.M()), itoa(res.Stats.Clusters),
-		itoa(int(ns / 1e6)), itoa(int(ph.ClustersNs / 1e6)), itoa(int(ph.NetdecompNs / 1e6)),
+		itoa(workers), itoa(g.N()), itoa(g.M()), itoa(stats.Clusters),
+		itoa(int(ns / 1e6)), itoa(int(ph.clusters.Milliseconds())), itoa(int(ph.netdecomp.Milliseconds())),
 		"ok",
 	}
 }

@@ -99,7 +99,7 @@ func Figure1(cfg Config) (*Table, error) {
 		if tight {
 			k = alpha
 		}
-		palettes := fullPalettes(g.M(), k)
+		palettes := core.FullPalettes(g.M(), k)
 		st := forest.New(g)
 		searcher := core.NewSearcher(st)
 		sumLen, maxLen, maxRad := 0, 0, 0
@@ -148,7 +148,7 @@ func Figure2(cfg Config) (*Table, error) {
 	// searches; the effective excess is then eps ~ 1/alpha.
 	eps := 1 / float64(trueAlpha)
 	k := trueAlpha
-	palettes := fullPalettes(g.M(), k)
+	palettes := core.FullPalettes(g.M(), k)
 	st := forest.New(g)
 	searcher := core.NewSearcher(st)
 	maxIters, worstFinal := 0, 0
@@ -196,7 +196,7 @@ func Figure3(cfg Config) (*Table, error) {
 		k := int(math.Ceil((1 + eps) * float64(alpha)))
 		st := forest.New(g)
 		searcher := core.NewSearcher(st)
-		palettes := fullPalettes(g.M(), k)
+		palettes := core.FullPalettes(g.M(), k)
 		for id := int32(0); int(id) < g.M(); id++ {
 			seq, _ := searcher.FindAugmenting(palettes, id, nil, nil, 0)
 			if seq == nil {
@@ -395,16 +395,4 @@ func ExactGW(cfg Config) (*Table, error) {
 		t.Metrics["alpha_"+c.name] = float64(alpha)
 	}
 	return t, nil
-}
-
-func fullPalettes(m, k int) [][]int32 {
-	pal := make([]int32, k)
-	for i := range pal {
-		pal[i] = int32(i)
-	}
-	out := make([][]int32, m)
-	for i := range out {
-		out[i] = pal
-	}
-	return out
 }

@@ -41,7 +41,7 @@ func Theorem21(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		sfdOK := verify.StarForestDecomposition(g, sfd, 3*thr) == nil
-		palettes := fullPalettes(g.M(), thr)
+		palettes := core.FullPalettes(g.M(), thr)
 		lfd, err := hpartition.ListForestDecomposition(g, hp, palettes, &cost)
 		if err != nil {
 			return nil, err
@@ -109,7 +109,7 @@ func Theorem49(cfg Config) (*Table, error) {
 	alpha, eps := 32, 0.5
 	k := int(math.Ceil((1 + eps) * float64(alpha)))
 	g := gen.ForestUnion(n, 4, cfg.Seed+71) // low-arboricity graph, big palettes
-	palettes := fullPalettes(g.M(), k)
+	palettes := core.FullPalettes(g.M(), k)
 	t := &Table{
 		ID:      "T4.9",
 		Title:   "vertex-color-splitting: min induced palette sizes",

@@ -262,7 +262,7 @@ func DecodeMETIS(r io.Reader) (*Graph, error) {
 	// Header (blank lines before it are not meaningful, skip them).
 	for {
 		if !readLine() {
-			return nil, fmt.Errorf("metis: missing header line")
+			return nil, lr.ended(fmt.Errorf("metis: missing header line"))
 		}
 		if len(lr.line) != 0 {
 			break
@@ -314,7 +314,9 @@ func DecodeMETIS(r io.Reader) (*Graph, error) {
 	for u := 1; u <= n; u++ {
 		// EOF after the last edge-bearing line stands for trailing
 		// degree-0 vertices; the m reconciliation below still catches
-		// files truncated mid-edges.
+		// files truncated mid-edges. A scanner error (a line past the
+		// 16 MiB cap) ends the input too: the trailing-content loop
+		// reads nothing more, and the sc.Err check after it reports it.
 		if !readLine() {
 			break
 		}

@@ -54,7 +54,7 @@ func Decode(r io.Reader) (*Graph, error) {
 		return false
 	}
 	if !readLine() {
-		return nil, fmt.Errorf("graph: missing header line")
+		return nil, lr.ended(fmt.Errorf("graph: missing header line"))
 	}
 	if lr.split() != 2 {
 		return nil, fmt.Errorf("graph: bad header %q", lr.line)
@@ -73,7 +73,7 @@ func Decode(r io.Reader) (*Graph, error) {
 	edges := make([]Edge, 0, min(m, preallocCap))
 	for i := 0; i < m; i++ {
 		if !readLine() {
-			return nil, fmt.Errorf("graph: expected %d edges, got %d", m, i)
+			return nil, lr.ended(fmt.Errorf("graph: expected %d edges, got %d", m, i))
 		}
 		if lr.split() != 2 {
 			return nil, fmt.Errorf("graph: bad edge line %q", lr.line)
@@ -118,6 +118,7 @@ type lineReader struct {
 	lineno int
 	line   []byte // the current line, trimmed like strings.TrimSpace
 	spans  []span // split's fields of line, reused from line to line
+	eof    bool   // scan has reported false
 }
 
 // span is a field of the current line: line[lo:hi].
@@ -132,14 +133,27 @@ func newLineReader(r io.Reader) *lineReader {
 }
 
 // scan reads the next line. It reports false at the end of the input or
-// on a read error, which sc.Err returns.
+// on a read error, which sc.Err returns, and false ever after: scanned
+// again after bufio.ErrTooLong, a Scanner would hand back the first
+// 16 MiB of the over-long line as a last line.
 func (lr *lineReader) scan() bool {
-	if !lr.sc.Scan() {
+	if lr.eof || !lr.sc.Scan() {
+		lr.eof = true
 		return false
 	}
 	lr.lineno++
 	lr.line = bytes.TrimSpace(lr.sc.Bytes())
 	return true
+}
+
+// ended returns the error for an input that ended early: the scanner's
+// own, when a read error or a line past the 16 MiB cap stopped it, and
+// err otherwise.
+func (lr *lineReader) ended(err error) error {
+	if scErr := lr.sc.Err(); scErr != nil {
+		return scErr
+	}
+	return err
 }
 
 // asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace

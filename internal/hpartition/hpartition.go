@@ -48,7 +48,7 @@ func Threshold(alphaStar int, eps float64) int {
 // neighbors (counted per port, so parallel edges count separately) is
 // removed and sends a 1-bit notification on each of its ports. Only the
 // previous round's removals and their neighbors are touched, so the
-// whole peel is O(n + m). A SpanObserver carried by ctx sees each
+// whole peel is O(n + m). A dist.Observer carried by ctx sees each
 // stepped round through EngineRound.
 func Partition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist.Cost) (*Result, error) {
 	if t < 0 {
@@ -65,7 +65,7 @@ func Partition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist
 	// queue holds the removed vertices in removal order; queue[lo:] is
 	// the previous round's removals.
 	queue := make([]int32, 0, n)
-	spans := dist.SpansFromContext(ctx)
+	obs := dist.ObserverFromContext(ctx)
 	var (
 		rounds, lo int
 		stuck      bool
@@ -109,8 +109,8 @@ func Partition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist
 				}
 			}
 		}
-		if spans != nil {
-			spans.EngineRound(rounds)
+		if obs != nil {
+			obs.EngineRound(rounds)
 		}
 		rounds++
 	}

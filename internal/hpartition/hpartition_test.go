@@ -75,19 +75,19 @@ func TestPartitionStuck(t *testing.T) {
 	}
 }
 
-// roundRecorder is a span observer that records every round it sees.
+// roundRecorder is an observer that records every round it sees.
 type roundRecorder struct{ rounds []int }
 
 func (*roundRecorder) PhaseCharged(string, int, int)       {}
 func (*roundRecorder) TrafficCharged(string, int64, int64) {}
 func (r *roundRecorder) EngineRound(round int)             { r.rounds = append(r.rounds, round) }
 
-// nopSpans is a span observer that ignores every callback.
-type nopSpans struct{}
+// nopObserver is an observer that ignores every callback.
+type nopObserver struct{}
 
-func (nopSpans) PhaseCharged(string, int, int)       {}
-func (nopSpans) TrafficCharged(string, int64, int64) {}
-func (nopSpans) EngineRound(int)                     {}
+func (nopObserver) PhaseCharged(string, int, int)       {}
+func (nopObserver) TrafficCharged(string, int64, int64) {}
+func (nopObserver) EngineRound(int)                     {}
 
 // TestPartitionStallChargesBudget pins the stall rule: K10 with t=3
 // removes nobody in round 0, so no later round can remove anybody. The
@@ -97,7 +97,7 @@ func TestPartitionStallChargesBudget(t *testing.T) {
 	const budget = 1 << 20
 	obs := &roundRecorder{}
 	var cost dist.Cost
-	_, err := Partition(dist.WithSpans(context.Background(), obs), gen.Clique(10), 3, budget, &cost)
+	_, err := Partition(dist.WithObserver(context.Background(), obs), gen.Clique(10), 3, budget, &cost)
 	if !errors.Is(err, dist.ErrMaxRounds) {
 		t.Fatalf("err = %v, want one wrapping dist.ErrMaxRounds", err)
 	}
@@ -147,13 +147,13 @@ func TestPartitionAllocs(t *testing.T) {
 
 // TestPartitionObserverZeroAlloc pins the observer's overhead contract
 // on the production peel: a 4000-vertex path at t=1 peels from both ends
-// in 2000 rounds, each reported to the span observer, and attaching a
+// in 2000 rounds, each reported to the observer, and attaching a
 // no-op observer must not add a single allocation to the peel.
 func TestPartitionObserverZeroAlloc(t *testing.T) {
 	g := gen.LineMultigraph(4000, 1)
 	budget := 4*g.N() + 10
 	rec := &roundRecorder{}
-	res, err := Partition(dist.WithSpans(context.Background(), rec), g, 1, budget, nil)
+	res, err := Partition(dist.WithObserver(context.Background(), rec), g, 1, budget, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPartitionObserverZeroAlloc(t *testing.T) {
 		})
 	}
 	plain := allocs(context.Background())
-	observed := allocs(dist.WithSpans(context.Background(), nopSpans{}))
+	observed := allocs(dist.WithObserver(context.Background(), nopObserver{}))
 	if observed != plain {
 		t.Fatalf("the peel made %.0f allocations with an observer attached, %.0f without", observed, plain)
 	}
@@ -177,7 +177,7 @@ func TestPartitionObserverZeroAlloc(t *testing.T) {
 // BenchmarkPartition times Partition plus ForestDecomposition (the be
 // baseline without its verification) on the be-road graph, which peels
 // in 3 rounds, on a forest union that peels in 10, and on a path that
-// peels in 2000 rounds, each reported to a no-op span observer.
+// peels in 2000 rounds, each reported to a no-op observer.
 func BenchmarkPartition(b *testing.B) {
 	for _, c := range []struct {
 		name     string
@@ -192,7 +192,7 @@ func BenchmarkPartition(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			ctx := context.Background()
 			if c.observed {
-				ctx = dist.WithSpans(ctx, nopSpans{})
+				ctx = dist.WithObserver(ctx, nopObserver{})
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -51,7 +51,7 @@ const peelMsgBits = 1
 // program with the notifications that arrived on its ports, delivers
 // each notification a removed vertex sends along its edge to the port at
 // the other end, and counts it when it is sent; after the round it
-// reports the round to ctx's span observer. It returns the rounds run
+// reports the round to ctx's observer. It returns the rounds run
 // and the messages and bits sent, with an error wrapping
 // dist.ErrMaxRounds when maxRounds rounds pass before every program
 // halts. A graph without vertices halts in 0 rounds.
@@ -77,7 +77,7 @@ func runProtocol(ctx context.Context, g *graph.Graph, progs []peelProg, maxRound
 	inbox, outbox := make([]bool, len(arcs)), make([]bool, len(arcs))
 	done := make([]bool, n)
 	running := n
-	spans := dist.SpansFromContext(ctx)
+	observer := dist.ObserverFromContext(ctx)
 	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return round, msgs, bits, err
@@ -96,8 +96,8 @@ func runProtocol(ctx context.Context, g *graph.Graph, progs []peelProg, maxRound
 		}
 		inbox, outbox = outbox, inbox
 		clear(outbox)
-		if spans != nil {
-			spans.EngineRound(round)
+		if observer != nil {
+			observer.EngineRound(round)
 		}
 		if running == 0 {
 			return round + 1, msgs, bits, nil
@@ -190,7 +190,7 @@ func errText(err error) string {
 // message-passing program on runProtocol over a grid of graphs,
 // thresholds and round budgets: same classes, same charged rounds,
 // messages and bits, same error text and error identity, the same rounds
-// seen by a span observer (a stalled peel's idle rounds excepted); and,
+// seen by an observer (a stalled peel's idle rounds excepted); and,
 // where the peel succeeds, the same forest labels as orientation plus
 // OutEdges.
 func TestPartitionMatchesProtocol(t *testing.T) {
@@ -202,8 +202,8 @@ func TestPartitionMatchesProtocol(t *testing.T) {
 				name := fmt.Sprintf("%s/t=%d/budget=%d", ng.name, thr, budget)
 				var wantCost, gotCost dist.Cost
 				wantObs, gotObs := &roundRecorder{}, &roundRecorder{}
-				want, wantErr := protocolPartition(dist.WithSpans(context.Background(), wantObs), g, thr, budget, &wantCost)
-				got, gotErr := Partition(dist.WithSpans(context.Background(), gotObs), g, thr, budget, &gotCost)
+				want, wantErr := protocolPartition(dist.WithObserver(context.Background(), wantObs), g, thr, budget, &wantCost)
+				got, gotErr := Partition(dist.WithObserver(context.Background(), gotObs), g, thr, budget, &gotCost)
 				cases++
 				if errText(gotErr) != errText(wantErr) {
 					t.Fatalf("%s: error %q, protocol %q", name, errText(gotErr), errText(wantErr))
@@ -261,7 +261,7 @@ func checkLabels(t *testing.T, name string, g *graph.Graph, r *Result) {
 	}
 }
 
-// cancelAt is a span observer that records every round and
+// cancelAt is an observer that records every round and
 // cancels its context once round k has been observed.
 type cancelAt struct {
 	roundRecorder
@@ -295,12 +295,12 @@ func peelWithCancel(peel func(context.Context, *graph.Graph, int, int, *dist.Cos
 		cancel()
 	}
 	var cost dist.Cost
-	res, err := peel(dist.WithSpans(ctx, obs), g, thr, budget, &cost)
+	res, err := peel(dist.WithObserver(ctx, obs), g, thr, budget, &cost)
 	return canceledRun{res, err, cost.Breakdown(), obs.rounds}
 }
 
 // TestPartitionCancelMatchesProtocol cancels both peels before they start
-// and at the first, a middle and the last round a span observer sees.
+// and at the first, a middle and the last round an observer sees.
 // Both must return context.Canceled with the same rounds and traffic
 // charged, after the observer saw the same rounds.
 func TestPartitionCancelMatchesProtocol(t *testing.T) {

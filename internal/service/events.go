@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"nwforest/internal/dynamic"
+	"nwforest/internal/trace"
 )
 
 // JobEvent is one entry in a job's progress stream, served over SSE by
@@ -43,6 +44,11 @@ const (
 // eventHub is one job's event history plus its live subscribers. Publish
 // never blocks: subscribers get a level-triggered nudge and drain the
 // history themselves via since().
+//
+// The hub is also the job's dist.Observer: the service installs it on
+// the job's cost account, it turns round charges into "phase" and
+// "progress" events, and it forwards every call to rec, the job's span
+// recorder (nil when tracing is off; its methods are nil-safe).
 type eventHub struct {
 	mu         sync.Mutex
 	events     []JobEvent
@@ -51,6 +57,7 @@ type eventHub struct {
 	lastPhase  string
 	lastRounds int
 	subs       map[chan struct{}]struct{}
+	rec        *trace.Recorder
 }
 
 func newEventHub() *eventHub {
@@ -85,30 +92,37 @@ func (h *eventHub) publishLocked(ev JobEvent) {
 	}
 }
 
-// progress is the dist.Progress hook installed on a job's cost account:
-// it turns per-phase round charges into "phase" (first charge of a
-// phase) and coalesced "progress" events. The publish happens inside
-// the same critical section that updates lastPhase/lastRounds, so even
-// with concurrent charge sites the stream stays coherent: a "phase"
-// event always switches phases and a "progress" event always continues
-// the phase of the event before it.
-func (h *eventHub) progress(phase string, phaseRounds, totalRounds int) {
-	if h == nil {
-		return
-	}
+// PhaseCharged implements dist.Observer: it turns per-phase round
+// charges into "phase" (first charge of a phase) and coalesced
+// "progress" events, then forwards the charge to the span recorder. The
+// publish happens inside the same critical section that updates
+// lastPhase/lastRounds, so even with concurrent charge sites the stream
+// stays coherent: a "phase" event always switches phases and a
+// "progress" event always continues the phase of the event before it.
+func (h *eventHub) PhaseCharged(phase string, phaseRounds, totalRounds int) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	newPhase := phase != h.lastPhase
-	if !newPhase && totalRounds-h.lastRounds < progressQuantum {
-		return
+	if newPhase || totalRounds-h.lastRounds >= progressQuantum {
+		h.lastPhase, h.lastRounds = phase, totalRounds
+		typ := "progress"
+		if newPhase {
+			typ = "phase"
+		}
+		h.publishLocked(JobEvent{Type: typ, Phase: phase, PhaseRounds: phaseRounds, Rounds: totalRounds})
 	}
-	h.lastPhase, h.lastRounds = phase, totalRounds
-	typ := "progress"
-	if newPhase {
-		typ = "phase"
-	}
-	h.publishLocked(JobEvent{Type: typ, Phase: phase, PhaseRounds: phaseRounds, Rounds: totalRounds})
+	h.mu.Unlock()
+	h.rec.PhaseCharged(phase, phaseRounds, totalRounds)
 }
+
+// TrafficCharged implements dist.Observer: traffic reaches only the
+// span recorder.
+func (h *eventHub) TrafficCharged(phase string, msgs, bits int64) {
+	h.rec.TrafficCharged(phase, msgs, bits)
+}
+
+// EngineRound implements dist.Observer: simulated rounds reach only the
+// span recorder, which samples them.
+func (h *eventHub) EngineRound(round int) { h.rec.EngineRound(round) }
 
 // since returns a copy of every retained event with Seq > seq.
 func (h *eventHub) since(seq int64) []JobEvent {

@@ -4,18 +4,22 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"nwforest/internal/trace"
 )
 
-// TestProgressEventOrderingUnderConcurrency: progress publishes inside
+// TestProgressEventOrderingUnderConcurrency: PhaseCharged publishes inside
 // the same critical section that updates lastPhase/lastRounds, so even
 // with multiple goroutines charging rounds the published stream stays
 // coherent — a "phase" event always switches to a new phase and a
 // "progress" event always continues the phase of the event right before
 // it. (The documented convention is one goroutine per cost account, but
 // the hub must not corrupt its stream if a future charge site breaks
-// it.)
+// it.) Every call also reaches the job's span recorder.
 func TestProgressEventOrderingUnderConcurrency(t *testing.T) {
 	h := newEventHub()
+	h.rec = trace.NewRecorder("j-1", time.Now(), 1)
 	const workers, rounds = 4, 50 // well under maxEventHistory, so nothing is dropped
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -26,11 +30,21 @@ func TestProgressEventOrderingUnderConcurrency(t *testing.T) {
 			for r := 1; r <= rounds; r++ {
 				// Advance the total by a full quantum so same-phase calls
 				// publish rather than coalesce away.
-				h.progress(phase, r, r*progressQuantum)
+				h.PhaseCharged(phase, r, r*progressQuantum)
+				h.TrafficCharged(phase, 1, 8)
+				h.EngineRound(r)
 			}
 		}(w)
 	}
 	wg.Wait()
+	for _, p := range h.rec.Phases() {
+		if p.Rounds != rounds || p.Messages != rounds || p.Bits != 8*rounds {
+			t.Fatalf("recorder phase %+v, want %d rounds, %d messages, %d bits", p, rounds, rounds, 8*rounds)
+		}
+	}
+	if got := len(h.rec.Phases()); got != workers {
+		t.Fatalf("recorder saw %d phases, want %d", got, workers)
+	}
 	evs := h.since(0)
 	if len(evs) == 0 {
 		t.Fatal("no events published")

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -124,6 +125,100 @@ func TestJobEventsSSE(t *testing.T) {
 
 	if code := doJSON(t, "GET", ts.URL+"/jobs/nope/events", nil, "", nil); code != http.StatusNotFound {
 		t.Fatalf("events for unknown job -> %d, want 404", code)
+	}
+}
+
+// TestPhaseNamesAgreeAcrossViews runs a full decompose job (α below the
+// graph's arboricity, so the leftover recoloring's peel charges traffic
+// too) and then a mode=incremental job on a one-edge child, and checks
+// that the three views of each job's cost name the same phases in the
+// same order: the distinct phases of its SSE "phase" events in
+// first-appearance order, its trace's phases, and its history record's
+// phases. With tracing off, the SSE phase and progress events must be
+// the ones the traced service streamed.
+func TestPhaseNamesAgreeAcrossViews(t *testing.T) {
+	type jobEvents struct{ full, incremental []JobEvent }
+	run := func(cfg Config) jobEvents {
+		t.Helper()
+		svc, ts := testServer(t, cfg)
+		baseID := addGraph(t, svc, gen.Gnm(200, 800, 3))
+		child, err := svc.Store().Mutate(baseID, Mutation{Insert: [][2]int32{{0, 199}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out jobEvents
+		for _, c := range []struct {
+			graphID, mode string
+			events        *[]JobEvent
+		}{
+			{baseID, "", &out.full},
+			{child.ID, ModeIncremental, &out.incremental},
+		} {
+			j, err := svc.Submit(JobSpec{GraphID: c.graphID, Algorithm: "decompose", Mode: c.mode,
+				Options: nwforest.Options{Alpha: 3, Eps: 0.5, Seed: 5}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := waitDone(t, svc, j)
+			if snap.State != JobDone || snap.Cached {
+				t.Fatalf("job %s: %s cached=%v (%s)", snap.ID, snap.State, snap.Cached, snap.Error)
+			}
+			resp, err := http.Get(ts.URL + "/jobs/" + snap.ID + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sse []string
+			repaired := false
+			for _, ev := range readSSE(t, resp.Body) {
+				switch ev.Type {
+				case "phase", "progress":
+					*c.events = append(*c.events, JobEvent{Type: ev.Type, Phase: ev.Phase,
+						PhaseRounds: ev.PhaseRounds, Rounds: ev.Rounds})
+					if ev.Type == "phase" && !slices.Contains(sse, ev.Phase) {
+						sse = append(sse, ev.Phase)
+					}
+				case "repair":
+					repaired = true
+				}
+			}
+			resp.Body.Close()
+			if len(sse) == 0 {
+				t.Fatalf("job %s streamed no phase events", snap.ID)
+			}
+			if repaired != (c.mode == ModeIncremental) {
+				t.Fatalf("job %s (mode %q): repair event streamed = %v", snap.ID, c.mode, repaired)
+			}
+			var history []string
+			for _, r := range svc.History("", "", 0) {
+				if r.ID == snap.ID {
+					for _, p := range r.Phases {
+						history = append(history, p.Name)
+					}
+				}
+			}
+			if !slices.Equal(history, sse) {
+				t.Fatalf("job %s: history phases %v, SSE phases %v", snap.ID, history, sse)
+			}
+			rec, traced := svc.Trace(snap.ID)
+			if traced == cfg.DisableTracing {
+				t.Fatalf("job %s: trace present = %v with DisableTracing = %v", snap.ID, traced, cfg.DisableTracing)
+			}
+			if traced {
+				var spans []string
+				for _, p := range rec.Phases() {
+					spans = append(spans, p.Name)
+				}
+				if !slices.Equal(spans, sse) {
+					t.Fatalf("job %s: trace phases %v, SSE phases %v", snap.ID, spans, sse)
+				}
+			}
+		}
+		return out
+	}
+	on := run(Config{Workers: 1})
+	off := run(Config{Workers: 1, DisableTracing: true})
+	if !slices.Equal(on.full, off.full) || !slices.Equal(on.incremental, off.incremental) {
+		t.Fatalf("SSE phase events differ with tracing off:\n on %+v\noff %+v", on, off)
 	}
 }
 

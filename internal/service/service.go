@@ -685,6 +685,7 @@ func (s *Service) register(j *Job) {
 	j.id = "j-" + strconv.FormatInt(s.nextID, 10)
 	if s.traces != nil {
 		j.rec = trace.NewRecorder(j.id, j.created, s.cfg.TraceRoundEvery)
+		j.hub.rec = j.rec
 	}
 	if j.spec.Anytime {
 		s.anytimeJobs.Add(1)
@@ -767,14 +768,11 @@ func (s *Service) runJob(j *Job) {
 	}
 	ch := make(chan outcome, 1)
 	// The job's event hub rides down into the algorithm as the cost
-	// account's progress hook, so SSE subscribers see phases and rounds
-	// as they are charged; the span recorder rides alongside it and turns
-	// the same charge stream into phase spans.
-	execCtx := dist.WithProgress(j.ctx, j.hub.progress)
-	if j.rec != nil {
-		j.rec.BeginExecution(started)
-		execCtx = dist.WithSpans(execCtx, j.rec)
-	}
+	// account's observer, so SSE subscribers see phases and rounds as
+	// they are charged; the hub forwards the same charge stream to the
+	// span recorder, which turns it into phase spans.
+	j.rec.BeginExecution(started)
+	execCtx := dist.WithObserver(j.ctx, j.hub)
 	go func() {
 		defer func() {
 			// A panicking algorithm must fail its job, not kill the daemon.
@@ -991,11 +989,7 @@ func (s *Service) finalizeObservability(snap JobSnapshot, rec *trace.Recorder) {
 			rec.AddSpan("run "+snap.Spec.Algorithm, "job", *snap.StartedAt, finished,
 				map[string]any{"state": string(snap.State), "cached": snap.Cached})
 		}
-		cps := make([]trace.CostPhase, len(phases))
-		for i, p := range phases {
-			cps[i] = trace.CostPhase{Name: p.Name, Rounds: p.Rounds, Messages: p.Messages, Bits: p.Bits}
-		}
-		rec.Finish(finished, cps)
+		rec.Finish(finished, phases)
 		s.traces.Put(rec)
 		if s.phaseSelf != nil {
 			for _, p := range rec.Phases() {
@@ -1019,9 +1013,9 @@ func (s *Service) History(state JobState, algorithm string, limit int) []JobReco
 }
 
 // execute fetches the graph and dispatches to the requested entry point,
-// verifying decompositions before returning them. hub (may be nil in
-// direct calls) receives incremental repair summaries; phase/round
-// progress arrives through the dist.Progress hook already on ctx.
+// verifying decompositions before returning them. The job's hub
+// receives incremental repair summaries; phase/round progress arrives
+// through the observer already on ctx (the same hub).
 func (s *Service) execute(ctx context.Context, j *Job) (*JobResult, error) {
 	spec, hub := j.spec, j.hub
 	g, err := s.store.Get(spec.GraphID)
@@ -1094,10 +1088,8 @@ func (s *Service) tryIncremental(ctx context.Context, g *graph.Graph, spec JobSp
 		return nil, false
 	}
 	// Repair rounds are charged to the maintainer's own cost account;
-	// forward them to the same progress and span hooks a full run would
-	// use.
-	m.Cost().SetProgress(dist.ProgressFromContext(ctx))
-	m.Cost().SetSpans(dist.SpansFromContext(ctx))
+	// forward them to the same observer a full run would use.
+	m.Cost().SetObserver(dist.ObserverFromContext(ctx))
 	for _, id := range mut.Delete {
 		if err := m.DeleteEdge(id); err != nil {
 			return nil, false

@@ -5,13 +5,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nwforest/internal/dist"
 )
 
 // finishedRecorder builds a sealed trace for job id with one phase
 // charged the given rounds.
 func finishedRecorder(id string, rounds int) *Recorder {
 	rec := NewRecorder(id, epoch, 0)
-	rec.Finish(epoch.Add(time.Millisecond), []CostPhase{
+	rec.Finish(epoch.Add(time.Millisecond), []dist.Phase{
 		{Name: "peel", Rounds: rounds, Messages: int64(rounds) * 2, Bits: int64(rounds) * 16},
 	})
 	return rec

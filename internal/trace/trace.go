@@ -1,14 +1,16 @@
-// Package trace is the serving stack's span recorder: a dependency-free
-// timeline of where a job's wall time went, from the HTTP request that
-// submitted it down to the individual simulated rounds of the paper's
-// phase-structured algorithms.
+// Package trace is the serving stack's span recorder: a timeline of
+// where a job's wall time went, from the HTTP request that submitted it
+// down to the individual simulated rounds of the paper's
+// phase-structured algorithms. It depends on nothing in the module but
+// internal/dist, whose cost breakdown it reconciles against.
 //
 // One Recorder accompanies each job. The service adds the coarse spans
 // it owns (HTTP request, queue wait, execution); the per-phase child
 // spans come for free from the existing dist.Cost charge sites — the
-// Recorder implements dist.SpanObserver, so every Charge/ChargeMax
-// attributes the wall time since the previous charge to the phase being
-// charged, and every ChargeMessages attaches CONGEST traffic to it.
+// Recorder implements dist.Observer (the service's event hub forwards
+// every charge to it), so every Charge/ChargeMax attributes the wall
+// time since the previous charge to the phase being charged, and every
+// ChargeMessages attaches CONGEST traffic to it.
 // Optional instant events for individual simulated rounds are recorded
 // under a sampling knob (RoundEvery), bounded by maxRoundEvents.
 //
@@ -18,14 +20,16 @@
 // (WriteJSON) that loads directly in Perfetto or chrome://tracing;
 // ValidateTraceEvents checks that shape and backs the golden tests.
 //
-// Tracing off means no Recorder exists at all: the charge sites and
-// every simulated round of the H-partition peel pay one nil check and
-// allocate nothing.
+// Tracing off means no Recorder exists at all, and every Recorder
+// method is a no-op on a nil receiver, so the hub forwards to it without
+// a branch.
 package trace
 
 import (
 	"sync"
 	"time"
+
+	"nwforest/internal/dist"
 )
 
 // maxRoundEvents bounds the sampled per-round instant events one trace
@@ -67,7 +71,7 @@ type roundEvent struct {
 // Recorder accumulates one job's trace. It is safe for concurrent use:
 // the charge stream arrives on the algorithm's goroutine while the
 // service adds spans from request and worker goroutines. Create one with
-// NewRecorder, feed it (it implements dist.SpanObserver), seal it with
+// NewRecorder, feed it (it implements dist.Observer), seal it with
 // Finish, then export with WriteJSON.
 type Recorder struct {
 	mu    sync.Mutex
@@ -156,7 +160,7 @@ func (r *Recorder) phaseLocked(name string, now time.Time) *PhaseStat {
 	return &r.phases[i]
 }
 
-// PhaseCharged implements dist.SpanObserver: the wall time since the
+// PhaseCharged implements dist.Observer: the wall time since the
 // previous charge (or since BeginExecution for the first one) is
 // attributed to the phase being charged — charge sites charge a phase
 // when its work completes, so that interval is the phase's self time.
@@ -177,7 +181,7 @@ func (r *Recorder) PhaseCharged(phase string, phaseRounds, totalRounds int) {
 	r.mu.Unlock()
 }
 
-// TrafficCharged implements dist.SpanObserver: CONGEST traffic attaches
+// TrafficCharged implements dist.Observer: CONGEST traffic attaches
 // to its phase without moving the attribution clock.
 func (r *Recorder) TrafficCharged(phase string, msgs, bits int64) {
 	if r == nil {
@@ -195,7 +199,7 @@ func (r *Recorder) TrafficCharged(phase string, msgs, bits int64) {
 	r.mu.Unlock()
 }
 
-// EngineRound implements dist.SpanObserver: when sampling is on, every
+// EngineRound implements dist.Observer: when sampling is on, every
 // RoundEvery-th simulated round becomes an instant event on the phase
 // track. The sampling check runs before the lock so tracing with
 // sampling off adds no contention to a simulated round loop.
@@ -221,7 +225,7 @@ func (r *Recorder) EngineRound(round int) {
 // breakdown's totals. phases may be nil (failed or canceled jobs keep
 // whatever the live stream saw). Finish is idempotent; the first call
 // wins.
-func (r *Recorder) Finish(end time.Time, phases []CostPhase) {
+func (r *Recorder) Finish(end time.Time, phases []dist.Phase) {
 	if r == nil {
 		return
 	}
@@ -244,17 +248,6 @@ func (r *Recorder) Finish(end time.Time, phases []CostPhase) {
 		p.Messages = bp.Messages
 		p.Bits = bp.Bits
 	}
-}
-
-// CostPhase mirrors dist.Phase's exported fields. It exists so the
-// trace package stays dependency-free within the repo (dist imports
-// nothing from trace, trace imports nothing from dist — the service
-// bridges the two).
-type CostPhase struct {
-	Name     string
-	Rounds   int
-	Messages int64
-	Bits     int64
 }
 
 // Phases returns a copy of the per-phase stats in first-charge order.

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"nwforest/internal/dist"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -55,7 +57,7 @@ func scriptedRecorder(t *testing.T) *Recorder {
 	rec.AddSpan("queue", "job", epoch, ms(5), nil)
 	rec.AddSpan("run decompose", "job", ms(5), ms(25),
 		map[string]any{"state": "done", "cached": false})
-	rec.Finish(ms(25), []CostPhase{
+	rec.Finish(ms(25), []dist.Phase{
 		{Name: "peel", Rounds: 3, Messages: 10, Bits: 640},
 		{Name: "cluster", Rounds: 4},
 		{Name: "verify", Rounds: 1},
@@ -94,8 +96,8 @@ func TestRecorderPhaseAttribution(t *testing.T) {
 
 func TestRecorderFinishIdempotent(t *testing.T) {
 	rec := NewRecorder("j-1", epoch, 0)
-	rec.Finish(ms(10), []CostPhase{{Name: "a", Rounds: 1}})
-	rec.Finish(ms(99), []CostPhase{{Name: "b", Rounds: 9}})
+	rec.Finish(ms(10), []dist.Phase{{Name: "a", Rounds: 1}})
+	rec.Finish(ms(99), []dist.Phase{{Name: "b", Rounds: 9}})
 	phases := rec.Phases()
 	if len(phases) != 1 || phases[0].Name != "a" {
 		t.Fatalf("second Finish must lose; phases = %+v", phases)
