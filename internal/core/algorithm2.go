@@ -32,11 +32,6 @@ type Algo2Options struct {
 	Seed uint64
 	// RPrime and R override the radii R' and R (0 = auto from Eps, n).
 	RPrime, R int
-	// MaxVisited caps the edges explored per augmenting search
-	// (0 = 4 * m_local bound chosen automatically).
-	MaxVisited int
-	// SampleP overrides the deletion probability of CutSampled (0 = auto).
-	SampleP float64
 	// Workers bounds the goroutines of the per-cluster phase: 0 selects
 	// GOMAXPROCS on graphs with at least parallelClusterThreshold
 	// vertices (sequential below it), 1 forces the sequential path, any
@@ -182,20 +177,9 @@ func RunAlgorithm2(ctx context.Context, g *graph.Graph, opts Algo2Options, cost 
 		if loadCap < 1 {
 			loadCap = 1
 		}
-		p := opts.SampleP
-		if p == 0 {
-			// Proposition 4.3 with eta = 1/2: p = K*alpha*log(n) / (eta*R).
-			p = float64(opts.Alpha) * math.Log(float64(g.N()+2)) / (0.5 * float64(r))
-		}
-		if p > 1 {
-			p = 1
-		}
+		// Proposition 4.3 with eta = 1/2: p = K*alpha*log(n) / (eta*R).
+		p := math.Min(1, float64(opts.Alpha)*math.Log(float64(g.N()+2))/(0.5*float64(r)))
 		sampler = newSampleCutState(hpartition.OutEdges(g, o), loadCap, p)
-	}
-
-	maxVisited := opts.MaxVisited
-	if maxVisited == 0 {
-		maxVisited = 4 * g.M()
 	}
 
 	rn := &algo2Run{
@@ -205,7 +189,7 @@ func RunAlgorithm2(ctx context.Context, g *graph.Graph, opts Algo2Options, cost 
 		rule:       opts.Rule,
 		r:          r,
 		rPrime:     rPrime,
-		maxVisited: maxVisited,
+		maxVisited: 4 * g.M(),
 		sampler:    sampler,
 		src:        src,
 		res:        res,

@@ -27,9 +27,6 @@ type FDOptions struct {
 	// ReduceDiameter additionally caps every tree's diameter at O(1/eps)
 	// (Corollary 2.5), spending up to ceil(eps*Alpha)+O(1) more colors.
 	ReduceDiameter bool
-	// Retries bounds how many fresh seeds are tried when a randomized CUT
-	// rule fails goodness (default 3).
-	Retries int
 	// RPrime and R override the radii (0 = auto).
 	RPrime, R int
 	// Workers bounds the parallel cluster phase (see Algo2Options.Workers;
@@ -76,12 +73,8 @@ func ForestDecomposition(ctx context.Context, g *graph.Graph, opts FDOptions, co
 	if opts.Eps <= 0 || opts.Eps > 1 {
 		return nil, fmt.Errorf("core: Eps must be in (0, 1], got %v", opts.Eps)
 	}
-	retries := opts.Retries
-	if retries == 0 {
-		retries = 3
-	}
 	var lastErr error
-	for attempt := 0; attempt < retries; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		res, err := forestDecompositionOnce(ctx, g, opts, opts.Seed+uint64(attempt), cost)
 		if err == nil {
 			return res, nil
@@ -93,8 +86,13 @@ func ForestDecomposition(ctx context.Context, g *graph.Graph, opts FDOptions, co
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("core: all %d attempts failed: %w", retries, lastErr)
+	return nil, fmt.Errorf("core: all %d attempts failed: %w", attempts, lastErr)
 }
+
+// attempts is how many seeds ForestDecomposition and
+// ListForestDecomposition try before giving up: a randomized CUT rule
+// or color split fails its goodness check with small probability.
+const attempts = 3
 
 func forestDecompositionOnce(ctx context.Context, g *graph.Graph, opts FDOptions, seed uint64, cost *dist.Cost) (*FDResult, error) {
 	k := int(math.Ceil((1 + opts.Eps/2) * float64(opts.Alpha)))

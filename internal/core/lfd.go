@@ -22,15 +22,8 @@ type LFDOptions struct {
 	Eps float64
 	// Seed drives all randomness.
 	Seed uint64
-	// Split selects the vertex-color-splitting variant (default
-	// SplitByClustering, Theorem 4.9(1)).
-	Split SplitVariant
-	// ReserveProb overrides the splitting probability (see SplitOptions).
-	ReserveProb float64
 	// Rule selects the CUT rule for the main phase.
 	Rule CutRule
-	// Retries bounds the number of fresh seeds tried (default 3).
-	Retries int
 	// Workers bounds the parallel cluster phase (see Algo2Options.Workers;
 	// results are bit-identical for every setting).
 	Workers int
@@ -70,12 +63,8 @@ func ListForestDecomposition(ctx context.Context, g *graph.Graph, opts LFDOption
 	if len(opts.Palettes) != g.M() {
 		return nil, fmt.Errorf("core: %d palettes for %d edges", len(opts.Palettes), g.M())
 	}
-	retries := opts.Retries
-	if retries == 0 {
-		retries = 3
-	}
 	var lastErr error
-	for attempt := 0; attempt < retries; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		res, err := listFDOnce(ctx, g, opts, opts.Seed+uint64(attempt)*1000003, cost)
 		if err == nil {
 			return res, nil
@@ -85,7 +74,7 @@ func ListForestDecomposition(ctx context.Context, g *graph.Graph, opts LFDOption
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("core: all %d attempts failed: %w", retries, lastErr)
+	return nil, fmt.Errorf("core: all %d attempts failed: %w", attempts, lastErr)
 }
 
 func listFDOnce(ctx context.Context, g *graph.Graph, opts LFDOptions, seed uint64, cost *dist.Cost) (*LFDResult, error) {
@@ -93,11 +82,9 @@ func listFDOnce(ctx context.Context, g *graph.Graph, opts LFDOptions, seed uint6
 		return &LFDResult{Colors: []int32{}}, nil
 	}
 	split, err := SplitColors(ctx, g, opts.Palettes, SplitOptions{
-		Variant:     opts.Split,
-		ReserveProb: opts.ReserveProb,
-		Eps:         opts.Eps,
-		Alpha:       opts.Alpha,
-		Seed:        seed + 17,
+		Eps:   opts.Eps,
+		Alpha: opts.Alpha,
+		Seed:  seed + 17,
 	}, cost)
 	if err != nil {
 		return nil, err

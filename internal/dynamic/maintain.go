@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"nwforest/internal/core"
 	"nwforest/internal/dist"
@@ -29,10 +30,6 @@ type Config struct {
 	// emergency extra color costs ExtraColorDebt. <= 0 selects
 	// DefaultRepairBudget.
 	RepairBudget int
-	// FreezeFraction is the overlay drift (see Graph.DeltaFraction)
-	// beyond which insertions compact the graph back to CSR. <= 0
-	// selects DefaultFreezeFraction.
-	FreezeFraction float64
 }
 
 const (
@@ -69,12 +66,20 @@ type Stats struct {
 }
 
 // Maintainer keeps a forest decomposition valid under edge insertions
-// and deletions by local repair, falling back to the epoch-stamped
-// augmenting machinery on conflict and to a full rebuild once the
-// accumulated repair debt exceeds Config.RepairBudget. The maintained
-// invariant, checked by Result against internal/verify, is that the
-// colors of the live edges always form a partial forest decomposition
-// with every live edge colored in [0, NumColors()).
+// and deletions by local repair, falling back to an augmenting sequence
+// on conflict and to a full rebuild once the accumulated repair debt
+// exceeds Config.RepairBudget. The maintained invariant, checked by
+// Result against internal/verify, is that the colors of the live edges
+// always form a partial forest decomposition with every live edge
+// colored in [0, NumColors()).
+//
+// The coloring lives in one forest.State over the overlay's edge IDs:
+// the base's edges, then each insertion, appended by AddEdge. A deleted
+// edge stays in it, uncolored. So the repairs ask the State's exact
+// degree and path queries. A compaction renumbers the edges and leaves
+// the colors in a buffer until the next mutation builds a State over
+// the new base from them; a Maintainer that only compacts, such as
+// NewMaintainer followed by Result, builds none.
 //
 // All work is charged to an internal dist.Cost (phases
 // "dynamic/repair-fast", "dynamic/repair-augment", "dynamic/delete",
@@ -88,18 +93,12 @@ type Maintainer struct {
 	dg  *Graph
 	cfg Config
 
-	colors    []int32 // by overlay edge ID; verify.Uncolored when dead
+	// st holds the coloring by overlay edge ID, or is nil after a
+	// compaction, when frozen holds it by the new base's edge IDs
+	// instead (see state).
+	st        *forest.State
+	frozen    []int32
 	numColors int
-	// adj[v] maps a color to the live edge IDs of that color at v — the
-	// same shape as forest.State's incidence index, but over the mutable
-	// ID space.
-	adj []map[int32][]int32
-
-	// Epoch-stamped scratch for the monochromatic connectivity probes,
-	// as in forest.State: bumping epoch invalidates all marks in O(1).
-	mark  []uint32
-	queue []int32
-	epoch uint32
 
 	cost  dist.Cost
 	stats Stats
@@ -120,24 +119,28 @@ func NewMaintainer(g *graph.Graph, colors []int32, numColors int, cfg Config) (*
 	if cfg.RepairBudget <= 0 {
 		cfg.RepairBudget = DefaultRepairBudget
 	}
-	if cfg.FreezeFraction <= 0 {
-		cfg.FreezeFraction = DefaultFreezeFraction
-	}
 	if len(colors) != g.M() {
 		return nil, fmt.Errorf("dynamic: %d colors for %d edges", len(colors), g.M())
 	}
 	if err := verify.ForestDecomposition(g, colors, numColors); err != nil {
 		return nil, fmt.Errorf("dynamic: initial decomposition invalid: %w", err)
 	}
-	m := &Maintainer{
+	return &Maintainer{
 		dg:        New(g),
 		cfg:       cfg,
-		colors:    append([]int32(nil), colors...),
+		frozen:    slices.Clone(colors),
 		numColors: numColors,
-		mark:      make([]uint32, g.N()),
+	}, nil
+}
+
+// state returns the State over the overlay's current edge IDs, building
+// it from the colors a compaction left if no mutation has built it since.
+func (m *Maintainer) state() *forest.State {
+	if m.st == nil {
+		m.st = forest.FromColors(m.dg.Base(), m.frozen)
+		m.frozen = nil
 	}
-	m.rebuildIndex()
-	return m, nil
+	return m.st
 }
 
 // Graph returns the maintained overlay. Callers may read it (to sample
@@ -149,7 +152,12 @@ func (m *Maintainer) Graph() *Graph { return m.dg }
 func (m *Maintainer) NumColors() int { return m.numColors }
 
 // Color returns the maintained color of live edge id.
-func (m *Maintainer) Color(id int32) int32 { return m.colors[id] }
+func (m *Maintainer) Color(id int32) int32 {
+	if m.st == nil {
+		return m.frozen[id]
+	}
+	return m.st.Color(id)
+}
 
 // Stats returns the mutation/repair counters so far.
 func (m *Maintainer) Stats() Stats { return m.stats }
@@ -168,7 +176,7 @@ func (m *Maintainer) DeleteEdge(id int32) error {
 	if !m.dg.Live(id) {
 		return fmt.Errorf("dynamic: edge %d is not a live edge", id)
 	}
-	m.unsetColor(id)
+	m.state().SetColor(id, verify.Uncolored)
 	if err := m.dg.DeleteEdge(id); err != nil {
 		return err
 	}
@@ -179,24 +187,25 @@ func (m *Maintainer) DeleteEdge(id int32) error {
 
 // InsertEdge adds an edge and repairs the decomposition, cheapest
 // strategy first: a color free at an endpoint, then a color whose tree
-// does not already connect the endpoints, then an augmenting sequence
-// over the compacted graph, and as a last resort a fresh color. It
-// returns the edge's ID in the ID space as of return — an insertion may
-// compact the overlay (see Graph.Freeze), which invalidates previously
-// returned IDs.
+// does not already connect the endpoints (both answered by the held
+// State), then an augmenting sequence over the compacted graph, and as
+// a last resort a fresh color. It returns the edge's ID in the ID space
+// as of return — an insertion may compact the overlay (see
+// Graph.Freeze), which invalidates previously returned IDs.
 func (m *Maintainer) InsertEdge(u, v int32) (int32, error) {
 	id, err := m.dg.InsertEdge(u, v)
 	if err != nil {
 		return -1, err
 	}
 	m.stats.Inserts++
-	m.colors = append(m.colors, verify.Uncolored)
+	st := m.state()
+	st.AddEdge(m.dg.Edge(id)) // the overlay's next ID is the State's next ID
 
 	if c := m.freeColor(u, v); c >= 0 {
-		m.setColor(id, c)
+		st.SetColor(id, c)
 		m.stats.FastRepairs++
 		m.cost.Charge(1, "dynamic/repair-fast")
-		if m.dg.NeedsFreeze(m.cfg.FreezeFraction) {
+		if m.dg.NeedsFreeze(DefaultFreezeFraction) {
 			id = m.freeze()[id]
 		}
 		return id, nil
@@ -210,29 +219,21 @@ func (m *Maintainer) InsertEdge(u, v int32) (int32, error) {
 	return id, nil
 }
 
-// freeColor returns a color the new edge u-v can take without closing a
-// cycle, or -1. A color is free when one endpoint is isolated in it
-// (O(1) per color) or, failing that, when the endpoints provably lie in
-// different trees of it (one monochromatic BFS per color). Each BFS is
-// budgeted at ~4x the average tree size: proving disconnection requires
-// exhausting u's whole tree, so without a cap one insertion could cost
-// O(colors x N) on adversarially long trees; a probe that exhausts its
-// budget conservatively treats the color as unusable, which keeps the
-// total fast-path work per insertion at O(M + colors) and stays correct
-// (an unusable verdict only sends the edge down the augmenting path).
-// Colors are probed in increasing order, keeping runs deterministic.
+// freeColor returns the first color the new edge u-v can take without
+// closing a cycle, or -1. A color is free when one endpoint has no edge
+// of it (a slot scan per color) or, failing that, when the endpoints lie
+// in different trees of it. The State answers that exactly by walking
+// both endpoints' root paths in the color's rooted forest, which costs
+// their depths when the trees differ. Colors are probed in increasing
+// order, keeping runs deterministic.
 func (m *Maintainer) freeColor(u, v int32) int32 {
 	for c := int32(0); c < int32(m.numColors); c++ {
-		if len(m.adj[u][c]) == 0 || len(m.adj[v][c]) == 0 {
+		if m.st.DegreeInColor(u, c) == 0 || m.st.DegreeInColor(v, c) == 0 {
 			return c
 		}
 	}
-	budget := 64
-	if m.numColors > 0 {
-		budget += 4 * m.dg.M() / m.numColors
-	}
 	for c := int32(0); c < int32(m.numColors); c++ {
-		if !m.connected(c, u, v, budget) {
+		if !m.st.ConnectedInColor(c, u, v, nil) {
 			return c
 		}
 	}
@@ -240,29 +241,26 @@ func (m *Maintainer) freeColor(u, v int32) int32 {
 }
 
 // augmentRepair handles an insertion every color conflicts with: the
-// overlay is compacted so the existing machinery (forest.State +
-// core.Searcher) can run over a plain CSR graph, and an augmenting
-// sequence re-shuffles nearby colors to free one for the new edge. If
-// even that fails — the graph has genuinely outgrown the palette — the
-// edge opens a fresh forest. Either way the repair debt grows; the
-// budget check in InsertEdge converts persistent debt into a rebuild.
-// It returns the new edge's ID after the compaction.
+// overlay is compacted so core.Searcher, which reads the CSR, can run on
+// a State built over it, and an augmenting sequence re-shuffles nearby
+// colors to free one for the new edge. If even that fails — the graph
+// has genuinely outgrown the palette — the edge opens a fresh forest.
+// Either way the repair debt grows; the budget check in InsertEdge
+// converts persistent debt into a rebuild. It returns the new edge's ID
+// after the compaction.
 func (m *Maintainer) augmentRepair(id int32) int32 {
 	id = m.freeze()[id]
-	g := m.dg.Base()
-	st := forest.FromColors(g, m.colors)
-	seq, stats := core.NewSearcher(st).FindAugmenting(core.FullPalettes(g.M(), m.numColors), id, nil, nil, 0)
+	st := m.state()
+	seq, stats := core.NewSearcher(st).FindAugmenting(core.FullPalettes(m.dg.M(), m.numColors), id, nil, nil, 0)
 	if seq == nil {
 		m.numColors++
-		m.setColor(id, int32(m.numColors-1))
+		st.SetColor(id, int32(m.numColors-1))
 		m.stats.ExtraColors++
 		m.debt += ExtraColorDebt
 		m.cost.Charge(1, "dynamic/repair-augment")
 		return id
 	}
-	for _, step := range seq {
-		m.setColor(step.Edge, step.Color)
-	}
+	core.Apply(st, seq)
 	m.stats.AugmentRepairs++
 	m.debt++
 	// An augmenting repair is a genuinely local protocol: Theorem 3.2
@@ -299,9 +297,8 @@ func (m *Maintainer) rebuild() {
 			alpha *= 2
 			continue
 		}
-		m.colors = res.Colors
+		m.frozen = res.Colors
 		m.numColors = res.NumColors
-		m.rebuildIndex()
 		break
 	}
 	m.stats.Rebuilds++
@@ -317,115 +314,24 @@ func (m *Maintainer) rebuild() {
 func (m *Maintainer) Result() (*graph.Graph, []int32, int, error) {
 	m.freeze()
 	g := m.dg.Base()
-	colors := append([]int32(nil), m.colors...)
+	colors := slices.Clone(m.frozen)
 	if err := verify.ForestDecomposition(g, colors, m.numColors); err != nil {
 		return nil, nil, 0, fmt.Errorf("dynamic: maintained decomposition invalid: %w", err)
 	}
 	return g, colors, m.numColors, nil
 }
 
-// freeze compacts the overlay and renumbers the maintained state along
-// with it; it returns the Graph.Freeze remap.
+// freeze compacts the overlay and leaves the coloring, renumbered along
+// with it, in m.frozen; it returns the Graph.Freeze remap.
 func (m *Maintainer) freeze() []int32 {
 	remap := m.dg.Freeze()
-	newColors := make([]int32, m.dg.M())
+	colors := make([]int32, m.dg.M())
 	for old, nw := range remap {
 		if nw >= 0 {
-			newColors[nw] = m.colors[old]
+			colors[nw] = m.Color(int32(old))
 		}
 	}
-	m.colors = newColors
-	m.rebuildIndex()
+	m.st, m.frozen = nil, colors
 	m.stats.Compactions++
 	return remap
-}
-
-// rebuildIndex recomputes the per-vertex per-color incidence from
-// m.colors (which must be aligned with the overlay's current ID space).
-func (m *Maintainer) rebuildIndex() {
-	if m.adj == nil {
-		m.adj = make([]map[int32][]int32, m.dg.N())
-	}
-	for v := range m.adj {
-		m.adj[v] = make(map[int32][]int32)
-	}
-	for id, c := range m.colors {
-		if c != verify.Uncolored && m.dg.Live(int32(id)) {
-			e := m.dg.Edge(int32(id))
-			m.adj[e.U][c] = append(m.adj[e.U][c], int32(id))
-			m.adj[e.V][c] = append(m.adj[e.V][c], int32(id))
-		}
-	}
-}
-
-func (m *Maintainer) setColor(id, c int32) {
-	if m.colors[id] != verify.Uncolored {
-		m.unsetColor(id)
-	}
-	m.colors[id] = c
-	e := m.dg.Edge(id)
-	m.adj[e.U][c] = append(m.adj[e.U][c], id)
-	m.adj[e.V][c] = append(m.adj[e.V][c], id)
-}
-
-func (m *Maintainer) unsetColor(id int32) {
-	c := m.colors[id]
-	if c == verify.Uncolored {
-		return
-	}
-	m.colors[id] = verify.Uncolored
-	e := m.dg.Edge(id)
-	for _, v := range [2]int32{e.U, e.V} {
-		lst := m.adj[v][c]
-		for i, x := range lst {
-			if x == id {
-				lst[i] = lst[len(lst)-1]
-				lst = lst[:len(lst)-1]
-				break
-			}
-		}
-		if len(lst) == 0 {
-			delete(m.adj[v], c)
-		} else {
-			m.adj[v][c] = lst
-		}
-	}
-}
-
-// connected reports whether u and v lie in the same tree of color c, by
-// BFS over the color's incidence lists on epoch-stamped scratch. The
-// search gives up after visiting budget vertices and then answers true
-// (pessimistically connected): false claims must be proofs, true only
-// costs the caller a cheaper color or the augmenting fallback.
-func (m *Maintainer) connected(c, u, v int32, budget int) bool {
-	ep := m.nextEpoch()
-	m.mark[u] = ep
-	m.queue = append(m.queue[:0], u)
-	for head := 0; head < len(m.queue); head++ {
-		if head >= budget {
-			return true
-		}
-		x := m.queue[head]
-		for _, id := range m.adj[x][c] {
-			y := m.dg.Edge(id).Other(x)
-			if m.mark[y] == ep {
-				continue
-			}
-			if y == v {
-				return true
-			}
-			m.mark[y] = ep
-			m.queue = append(m.queue, y)
-		}
-	}
-	return false
-}
-
-func (m *Maintainer) nextEpoch() uint32 {
-	m.epoch++
-	if m.epoch == 0 {
-		clear(m.mark)
-		m.epoch = 1
-	}
-	return m.epoch
 }

@@ -13,6 +13,11 @@ import (
 
 // State is a partial edge coloring of a graph with per-color adjacency.
 //
+// The State reads edge endpoints from its own table: the graph's edges
+// in ID order, then the edges AddEdge appends. So a caller whose graph
+// grows may keep one State and append the edges it inserts; Graph still
+// returns the CSR the State was built over.
+//
 // The incidence index stores per-vertex slices of (color, edge-id) slots,
 // int32 throughout and arena-backed on bulk construction. Each
 // (vertex, color) edge list keeps a contractual order — append on color,
@@ -42,7 +47,10 @@ import (
 // Algorithm 2's same-class clusters under the mod-depth CUT are such
 // regions.
 type State struct {
-	g      *graph.Graph
+	g *graph.Graph
+	// edges holds every edge's endpoints by ID: g's edges, then the
+	// added ones.
+	edges  []graph.Edge
 	colors []int32
 	adj    [][]colorSlot
 	// parked lists the colored edges that are in no rooted forest: each
@@ -73,6 +81,7 @@ type Step struct {
 func New(g *graph.Graph) *State {
 	s := &State{
 		g:      g,
+		edges:  slices.Clip(g.Edges()), // an AddEdge copies, not writes into g
 		colors: make([]int32, g.M()),
 		adj:    make([][]colorSlot, g.N()),
 		sc:     NewScratch(g.N()),
@@ -84,10 +93,10 @@ func New(g *graph.Graph) *State {
 }
 
 // FromColors returns a state initialized with the given coloring (which
-// is copied). The incidence index is built in bulk from two arena
+// is copied). The incidence index is built in bulk from a few arena
 // allocations instead of one append chain per SetColor, which matters to
-// callers that rebuild a State per repair (the dynamic maintenance
-// ladder), and the rooted forests by one BFS per tree.
+// callers that build a State per run or per compaction (Algorithm 2, the
+// dynamic Maintainer), and the rooted forests by one BFS per tree.
 func FromColors(g *graph.Graph, colors []int32) *State {
 	s := New(g)
 	s.bulkLoad(colors)
@@ -109,7 +118,7 @@ func (s *State) bulkLoad(colors []int32) {
 		if c == verify.Uncolored {
 			continue
 		}
-		e := g.Edge(int32(id))
+		e := s.edges[id]
 		deg[e.U]++
 		deg[e.V]++
 		total += 2
@@ -131,14 +140,17 @@ func (s *State) bulkLoad(colors []int32) {
 		if c == verify.Uncolored {
 			continue
 		}
-		e := g.Edge(int32(id))
+		e := s.edges[id]
 		regions[e.U] = append(regions[e.U], int32(id))
 		regions[e.V] = append(regions[e.V], int32(id))
 	}
 	// Pass 3: per vertex, discover its slots (first-occurrence color
 	// order) with per-slot counts, carve each slot's ids exactly from
-	// the shared arena, then fill. slotArena grows once past its
-	// estimate at most; ids never reallocate.
+	// the shared arena, then fill. slotArena starts at one slot a vertex
+	// and grows by append, so it is reallocated several times when
+	// vertices hold a few colors each (a union of three forests has about
+	// three); earlier vertices keep their views into the old arrays. ids
+	// never reallocate.
 	slotArena := make([]colorSlot, 0, n)
 	var cnts []int32
 	idsArena := make([]int32, total)
@@ -202,7 +214,7 @@ func (s *State) rootAll() {
 				x := queue[head]
 				xs := s.slot(x, c)
 				for _, id := range xs.ids {
-					e := s.g.Edge(id)
+					e := s.edges[id]
 					y := e.Other(x)
 					ys := s.slot(y, c)
 					switch {
@@ -218,8 +230,20 @@ func (s *State) rootAll() {
 	}
 }
 
-// Graph returns the underlying graph.
+// Graph returns the underlying graph. It does not hold the edges
+// AddEdge appended.
 func (s *State) Graph() *graph.Graph { return s.g }
+
+// AddEdge appends an uncolored edge to the State's endpoint table and
+// returns its ID, one past the last. The added edge takes part in every
+// update and query, but Graph's CSR does not hold it, so a reader of the
+// CSR, such as core.Searcher, must run only on a State with no added
+// edges.
+func (s *State) AddEdge(e graph.Edge) int32 {
+	s.edges = append(s.edges, e)
+	s.colors = append(s.colors, verify.Uncolored)
+	return int32(len(s.edges) - 1)
+}
 
 // Scratch returns the State's built-in query scratch (the one the
 // convenience methods use). Concurrent readers must use their own
@@ -273,7 +297,7 @@ func (s *State) recolor(id, c int32) bool {
 	if old == c {
 		return false
 	}
-	e := s.g.Edge(id)
+	e := s.edges[id]
 	if old != verify.Uncolored {
 		s.cut(id, old)
 		s.removeIncidence(e.U, old, id)
@@ -311,7 +335,7 @@ func (s *State) parent(v, c int32) int32 {
 func (s *State) root(v, c int32) (int32, int) {
 	d := 0
 	for p := s.parent(v, c); p >= 0; p = s.parent(v, c) {
-		v = s.g.Edge(p).Other(v)
+		v = s.edges[p].Other(v)
 		d++
 	}
 	return v, d
@@ -320,7 +344,7 @@ func (s *State) root(v, c int32) (int32, int) {
 // inForest reports whether c-edge id is in c's rooted forest, as a
 // parent edge or parked.
 func (s *State) inForest(id, c int32) bool {
-	e := s.g.Edge(id)
+	e := s.edges[id]
 	return s.parent(e.U, c) == id || s.parent(e.V, c) == id || slices.Contains(s.parked, id)
 }
 
@@ -329,7 +353,7 @@ func (s *State) inForest(id, c int32) bool {
 // parked; otherwise the endpoint nearer its root reroots its tree and
 // hangs it from the edge.
 func (s *State) link(id, c int32) {
-	e := s.g.Edge(id)
+	e := s.edges[id]
 	ru, du := s.root(e.U, c)
 	rv, dv := s.root(e.V, c)
 	if ru == rv {
@@ -349,7 +373,7 @@ func (s *State) link(id, c int32) {
 		if next < 0 {
 			return
 		}
-		up, x = next, s.g.Edge(next).Other(x)
+		up, x = next, s.edges[next].Other(x)
 	}
 }
 
@@ -360,7 +384,7 @@ func (s *State) link(id, c int32) {
 // across it; every other parked edge of that tree then has its
 // endpoints under one root again.
 func (s *State) cut(id, c int32) {
-	e := s.g.Edge(id)
+	e := s.edges[id]
 	if sl := s.slot(e.U, c); sl.parent == id {
 		sl.parent = -1
 	} else if sl := s.slot(e.V, c); sl.parent == id {
@@ -375,7 +399,7 @@ func (s *State) cut(id, c int32) {
 		if s.colors[p] != c {
 			continue
 		}
-		pe := s.g.Edge(p)
+		pe := s.edges[p]
 		ru, _ := s.root(pe.U, c)
 		if rv, _ := s.root(pe.V, c); ru != rv {
 			s.unpark(i)
@@ -489,13 +513,13 @@ func (s *State) PathInColorWith(sc *Scratch, c, u, v int32, within func(int32) b
 	for x := b; x != v; {
 		i--
 		path[i] = sc.parentEdge[x]
-		x = s.g.Edge(path[i]).Other(x)
+		x = s.edges[path[i]].Other(x)
 	}
 	path[nb] = mid
 	i = nb + 1
 	for x := a; x != u; i++ {
 		path[i] = sc.parentEdge[x]
-		x = s.g.Edge(path[i]).Other(x)
+		x = s.edges[path[i]].Other(x)
 	}
 	return path
 }
@@ -542,7 +566,7 @@ func (s *State) search(sc *Scratch, c, u, v int32, within func(int32) bool) (a, 
 			continue
 		}
 		x := at[i]
-		y := s.g.Edge(id).Other(x)
+		y := s.edges[id].Other(x)
 		if sc.mark[y] == tag[1-i] {
 			ok = y == start[1-i] || within == nil || within(y)
 			if i == 1 {
@@ -594,7 +618,7 @@ func (s *State) ComponentInColorWith(sc *Scratch, c, v int32) []int32 {
 	for head := 0; head < len(out); head++ {
 		x := out[head]
 		for _, id := range s.incident(x, c) {
-			y := s.g.Edge(id).Other(x)
+			y := s.edges[id].Other(x)
 			if sc.mark[y] != ep {
 				sc.mark[y] = ep
 				out = append(out, y)
@@ -648,7 +672,7 @@ func (s *State) RootedTreesInColorWith(sc *Scratch, c int32, region []int32, roo
 			for head := 0; head < len(tr.Verts); head++ {
 				x := tr.Verts[head]
 				for _, id := range s.incident(x, c) {
-					y := s.g.Edge(id).Other(x)
+					y := s.edges[id].Other(x)
 					if sc.mark[y] == ep || sc.regionMark[y] != ep {
 						continue
 					}

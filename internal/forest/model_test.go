@@ -40,9 +40,10 @@ func randomOp(src *rng.Source, m, k int) (id, c int32) {
 
 // incidenceModel is the reference for State's incidence order contract:
 // edge lists keyed by (vertex, color) that grow by append on color and
-// shrink by swap-delete on erase.
+// shrink by swap-delete on erase. Its endpoint table starts as the
+// graph's edges and grows by addEdge, as State's does by AddEdge.
 type incidenceModel struct {
-	g      *graph.Graph
+	edges  []graph.Edge
 	colors []int32
 	lists  map[[2]int32][]int32
 }
@@ -51,7 +52,7 @@ type incidenceModel struct {
 // SetColor loop over colors (nil: all uncolored), which is what
 // FromColors must build.
 func newIncidenceModel(g *graph.Graph, colors []int32) *incidenceModel {
-	m := &incidenceModel{g: g, colors: make([]int32, g.M()), lists: map[[2]int32][]int32{}}
+	m := &incidenceModel{edges: slices.Clone(g.Edges()), colors: make([]int32, g.M()), lists: map[[2]int32][]int32{}}
 	for id := range m.colors {
 		m.colors[id] = verify.Uncolored
 	}
@@ -61,12 +62,18 @@ func newIncidenceModel(g *graph.Graph, colors []int32) *incidenceModel {
 	return m
 }
 
+// addEdge appends an uncolored edge.
+func (m *incidenceModel) addEdge(e graph.Edge) {
+	m.edges = append(m.edges, e)
+	m.colors = append(m.colors, verify.Uncolored)
+}
+
 func (m *incidenceModel) setColor(id, c int32) {
 	old := m.colors[id]
 	if old == c {
 		return
 	}
-	e := m.g.Edge(id)
+	e := m.edges[id]
 	m.colors[id] = c
 	for _, v := range [2]int32{e.U, e.V} {
 		if old != verify.Uncolored {
@@ -87,11 +94,14 @@ func (m *incidenceModel) setColor(id, c int32) {
 	}
 }
 
-// requireMatchesModel compares s with m: the coloring, the exact order
-// of every (vertex, color) edge list, the in-color degrees, and the set
-// of colors at each vertex.
+// requireMatchesModel compares s with m: the endpoint table, the
+// coloring, the exact order of every (vertex, color) edge list, the
+// in-color degrees, and the set of colors at each vertex.
 func requireMatchesModel(t *testing.T, label string, s *State, m *incidenceModel, k int) {
 	t.Helper()
+	if !slices.Equal(s.edges, m.edges) {
+		t.Fatalf("%s: endpoint table diverged from the model", label)
+	}
 	if !slices.Equal(s.Colors(), m.colors) {
 		t.Fatalf("%s: Colors diverged from the model", label)
 	}
@@ -215,7 +225,7 @@ func requireRooted(t *testing.T, label string, s *State, k int) []bool {
 		}
 		parked[id] = true
 	}
-	children := make([]int, g.M())
+	children := make([]int, len(s.edges))
 	for v := range s.adj {
 		for _, sl := range s.adj[v] {
 			if sl.parent == -1 {
@@ -236,7 +246,7 @@ func requireRooted(t *testing.T, label string, s *State, k int) []bool {
 			if steps > g.N() {
 				t.Fatalf("%s: the color-%d parent chain from %d cycles", label, c, v)
 			}
-			v = g.Edge(p).Other(v)
+			v = s.edges[p].Other(v)
 		}
 	}
 	forest := make([]bool, k)
@@ -252,7 +262,7 @@ func requireRooted(t *testing.T, label string, s *State, k int) []bool {
 			}
 			continue
 		}
-		e := g.Edge(int32(id))
+		e := s.edges[id]
 		if !classes[c].Union(int(e.U), int(e.V)) {
 			forest[c] = false
 		}
@@ -282,10 +292,12 @@ func requireRooted(t *testing.T, label string, s *State, k int) []bool {
 }
 
 // TestRootedForestModel runs random SetColors (cycle-closing ones
-// included), Recolor batches and FromColors rebuilds on a multigraph,
-// and after every step holds the incidence index to the model, checks
-// the rooted-forest invariants, and holds the path queries of every
-// forest class to the one-sided BFS, with and without a region.
+// included), Recolor batches, AddEdges (parallel ones included) and
+// FromColors rebuilds on a multigraph, and after every step holds the
+// incidence index to the model, checks the rooted-forest invariants, and
+// holds the path queries of every forest class to the one-sided BFS,
+// with and without a region. So the queries and updates are checked on
+// added edges too.
 func TestRootedForestModel(t *testing.T) {
 	const k = 4
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -295,23 +307,37 @@ func TestRootedForestModel(t *testing.T) {
 		sc := NewScratch(g.N())
 		for step := 0; step < 400; step++ {
 			var label string
-			switch r := src.Intn(10); {
+			switch r := src.Intn(11); {
 			case r < 6:
-				id, c := randomOp(src, g.M(), k)
+				id, c := randomOp(src, len(s.edges), k)
 				s.SetColor(id, c)
 				m.setColor(id, c)
 				label = fmt.Sprintf("seed %d, step %d: SetColor(%d, %d)", seed, step, id, c)
 			case r < 9:
 				steps := make([]Step, 1+src.Intn(6))
 				for i := range steps {
-					steps[i].Edge, steps[i].Color = randomOp(src, g.M(), k)
+					steps[i].Edge, steps[i].Color = randomOp(src, len(s.edges), k)
 					m.setColor(steps[i].Edge, steps[i].Color)
 				}
 				s.Recolor(steps)
 				label = fmt.Sprintf("seed %d, step %d: Recolor(%v)", seed, step, steps)
+			case r < 10:
+				e := s.edges[src.Intn(len(s.edges))] // a parallel edge
+				if src.Intn(2) == 0 {
+					u, v := int32(src.Intn(g.N())), int32(src.Intn(g.N()-1))
+					if v >= u {
+						v++
+					}
+					e = graph.E(u, v)
+				}
+				id := s.AddEdge(e)
+				m.addEdge(e)
+				label = fmt.Sprintf("seed %d, step %d: AddEdge(%v) = %d", seed, step, e, id)
 			default:
 				// FromColors builds the order of an id-ascending SetColor
-				// loop, so the model restarts from that loop too.
+				// loop, so the model restarts from that loop too. The
+				// added edges join the graph it is built over.
+				g = graph.MustNew(g.N(), s.edges)
 				s = FromColors(g, s.Colors())
 				m = newIncidenceModel(g, s.Colors())
 				label = fmt.Sprintf("seed %d, step %d: FromColors", seed, step)

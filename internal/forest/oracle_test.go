@@ -28,7 +28,7 @@ func oraclePath(s *State, c, u, v int32, within func(int32) bool) []int32 {
 	for head := 0; head < len(queue); head++ {
 		x := queue[head]
 		for _, id := range s.IncidentInColor(x, c) {
-			y := g.Edge(id).Other(x)
+			y := s.edges[id].Other(x)
 			if seen[y] {
 				continue
 			}
@@ -39,7 +39,7 @@ func oraclePath(s *State, c, u, v int32, within func(int32) bool) []int32 {
 				for cur := v; cur != u; {
 					pe := parentEdge[cur]
 					path = append(path, pe)
-					cur = g.Edge(pe).Other(cur)
+					cur = s.edges[pe].Other(cur)
 				}
 				return path
 			}
