@@ -43,9 +43,6 @@ type Config struct {
 	// dead (default 2). A dead peer is routed around until a ping
 	// succeeds again.
 	FailureThreshold int
-	// Client performs all peer HTTP calls (default http.DefaultClient).
-	// Per-call deadlines come from contexts, not the client timeout.
-	Client *http.Client
 	// Logger receives health transitions and gossip errors. Nil disables
 	// logging.
 	Logger *slog.Logger
@@ -149,7 +146,6 @@ type Cluster struct {
 	cfg    Config
 	ring   *Ring
 	self   Peer
-	client *http.Client
 	logger *slog.Logger
 
 	mu        sync.Mutex
@@ -186,15 +182,11 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:       cfg,
-		client:    cfg.Client,
 		logger:    cfg.Logger,
 		peers:     make(map[string]*peerState),
 		snapshots: make(map[string]NodeSnapshot),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
-	}
-	if c.client == nil {
-		c.client = http.DefaultClient
 	}
 	ids := make([]string, 0, len(cfg.Peers)+1)
 	ids = append(ids, cfg.NodeID)
@@ -391,7 +383,7 @@ func (c *Cluster) checkPeers() {
 			if err != nil {
 				return
 			}
-			resp, err := c.client.Do(req)
+			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				c.pingFailures.Add(1)
 				c.NoteFailure(p.ID)
@@ -485,7 +477,7 @@ func (c *Cluster) gossipRound() {
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		c.NoteFailure(target.ID)
 		return
@@ -581,7 +573,7 @@ func (c *Cluster) FetchCachedResult(ctx context.Context, p Peer, key string) (bo
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		c.NoteFailure(p.ID)
 		return nil, false, err
@@ -612,7 +604,7 @@ func (c *Cluster) PushCachedResult(ctx context.Context, p Peer, key string, resu
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		c.NoteFailure(p.ID)
 		return err
@@ -635,7 +627,7 @@ func (c *Cluster) ForwardCompute(ctx context.Context, p Peer, spec []byte) (stat
 		return 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		c.NoteFailure(p.ID)
 		return 0, nil, err
@@ -658,7 +650,7 @@ func (c *Cluster) ForwardGraph(ctx context.Context, p Peer, format string, data 
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		c.NoteFailure(p.ID)
 		return err
@@ -679,7 +671,7 @@ func (c *Cluster) FetchGraph(ctx context.Context, p Peer, id string) (data []byt
 	if err != nil {
 		return nil, "", false, err
 	}
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		c.NoteFailure(p.ID)
 		return nil, "", false, err

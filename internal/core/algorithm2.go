@@ -183,20 +183,19 @@ func RunAlgorithm2(ctx context.Context, g *graph.Graph, opts Algo2Options, cost 
 	}
 
 	rn := &algo2Run{
-		g:          g,
-		st:         st,
-		palettes:   opts.Palettes,
-		rule:       opts.Rule,
-		r:          r,
-		rPrime:     rPrime,
-		maxVisited: 4 * g.M(),
-		sampler:    sampler,
-		src:        src,
-		res:        res,
-		processed:  make([]bool, g.M()),
-		removed:    make([]bool, g.M()),
-		innerMark:  make([]uint32, g.N()),
-		outerMark:  make([]uint32, g.N()),
+		g:         g,
+		st:        st,
+		palettes:  opts.Palettes,
+		rule:      opts.Rule,
+		r:         r,
+		rPrime:    rPrime,
+		sampler:   sampler,
+		src:       src,
+		res:       res,
+		processed: make([]bool, g.M()),
+		removed:   make([]bool, g.M()),
+		innerMark: make([]uint32, g.N()),
+		outerMark: make([]uint32, g.N()),
 	}
 	workers := 1
 	if opts.Rule == CutModDepth && r >= 2 {
@@ -276,15 +275,14 @@ func resolveWorkers(opt, n int) int {
 // vertices only. CutSampled confines the trees only with high
 // probability, and R = 1 not at all, so both run sequentially.
 type algo2Run struct {
-	g          *graph.Graph
-	st         *forest.State
-	palettes   [][]int32
-	rule       CutRule
-	r, rPrime  int
-	maxVisited int
-	sampler    *sampleCutState
-	src        *rng.Source
-	res        *Algo2Result
+	g         *graph.Graph
+	st        *forest.State
+	palettes  [][]int32
+	rule      CutRule
+	r, rPrime int
+	sampler   *sampleCutState
+	src       *rng.Source
+	res       *Algo2Result
 
 	processed []bool
 	removed   []bool
@@ -377,11 +375,12 @@ func (rn *algo2Run) allocEpochs(count int) uint32 {
 func (rn *algo2Run) computeBall(job *clusterJob, a *algo2Arena) {
 	job.ball = job.ball[:0]
 	job.annulus = job.annulus[:0]
-	rn.g.BFSEpochWith(&a.bfs, job.members, rn.r+rn.rPrime, func(v int32, d int) {
+	rn.g.BFSEpochWith(&a.bfs, job.members, rn.r+rn.rPrime, func(v int32, d int) bool {
 		job.ball = append(job.ball, v)
 		if d > rn.rPrime {
 			job.annulus = append(job.annulus, v)
 		}
+		return true
 	})
 	job.innerEnd = len(job.ball) - len(job.annulus)
 	sortInt32(job.annulus)
@@ -445,7 +444,7 @@ func (rn *algo2Run) processCluster(ctx context.Context, job *clusterJob, a *algo
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			seq, stats := a.searcher.FindAugmenting(rn.palettes, id, inInner, inOuter, rn.maxVisited)
+			seq, stats := a.searcher.FindAugmenting(rn.palettes, id, inInner, inOuter)
 			if seq == nil {
 				rn.removed[id] = true
 				job.leftover = append(job.leftover, id)

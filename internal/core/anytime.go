@@ -35,9 +35,7 @@ type Checkpointer struct {
 	bestK     int // color-range bound of best: MaxColor(best)+1
 	bestPhase string
 
-	offers  int
-	taken   int
-	invalid int
+	offers int
 
 	// Scratch reused across offers.
 	snap []int32
@@ -80,9 +78,6 @@ func (cp *Checkpointer) Offer(colors []int32, phase string) {
 			cp.bestUsed = used
 			cp.bestK = int(maxc) + 1
 			cp.bestPhase = phase
-			cp.taken++
-		} else {
-			cp.invalid++
 		}
 	}
 	if cp.Observer != nil {

@@ -68,11 +68,10 @@ type Searcher struct {
 	queue    []int32
 	epoch    uint32
 
-	// seqRadius scratch, per vertex.
-	seen     []uint32
-	needed   []uint32
-	dist     []int32
-	bfsQueue []int32
+	// seqRadius scratch: needed[v] == epoch marks a sequence endpoint
+	// the BFS has yet to reach.
+	needed []uint32
+	bfs    graph.BFSEpochScratch
 }
 
 // NewSearcher returns a Searcher over st's graph.
@@ -84,9 +83,7 @@ func NewSearcher(st *forest.State) *Searcher {
 		fsc:      forest.NewScratch(g.N()),
 		viaEpoch: make([]uint32, g.M()),
 		viaNode:  make([]searchNode, g.M()),
-		seen:     make([]uint32, g.N()),
 		needed:   make([]uint32, g.N()),
-		dist:     make([]int32, g.N()),
 	}
 }
 
@@ -94,7 +91,6 @@ func (s *Searcher) nextEpoch() uint32 {
 	s.epoch++
 	if s.epoch == 0 { // wrapped: restamp so stale marks cannot collide
 		clear(s.viaEpoch)
-		clear(s.seen)
 		clear(s.needed)
 		s.epoch = 1
 	}
@@ -114,12 +110,11 @@ func (s *Searcher) nextEpoch() uint32 {
 //   - withinSearch bounds the region whose edges may join the sequence
 //     (N^{R'}(e) in Theorem 3.2); nil means unbounded;
 //   - withinPath bounds the region monochromatic paths may traverse
-//     (C” in Algorithm 2); nil means unbounded;
-//   - maxVisited caps the explored edge count (0 = no cap).
+//     (C” in Algorithm 2); nil means unbounded.
 //
 // It returns nil if no augmenting sequence was found under these bounds.
 func (s *Searcher) FindAugmenting(palettes [][]int32, start int32,
-	withinSearch, withinPath func(int32) bool, maxVisited int) (Sequence, SearchStats) {
+	withinSearch, withinPath func(int32) bool) (Sequence, SearchStats) {
 
 	var stats SearchStats
 	st := s.st
@@ -171,19 +166,9 @@ func (s *Searcher) FindAugmenting(palettes [][]int32, start int32,
 				s.queue = append(s.queue, y)
 			}
 		}
-		if maxVisited > 0 && visited > maxVisited {
-			break
-		}
 	}
 	stats.Visited = visited
 	return nil, stats
-}
-
-// FindAugmenting is the standalone form: it builds a fresh Searcher for
-// one search. Loops should construct a Searcher once and reuse it.
-func FindAugmenting(st *forest.State, palettes [][]int32, start int32,
-	withinSearch, withinPath func(int32) bool, maxVisited int) (Sequence, SearchStats) {
-	return NewSearcher(st).FindAugmenting(palettes, start, withinSearch, withinPath, maxVisited)
 }
 
 // backtrack reconstructs the almost augmenting sequence ending at edge
@@ -256,31 +241,14 @@ func (s *Searcher) seqRadius(seq Sequence) int {
 		}
 	}
 	e0 := g.Edge(seq[0].Edge)
-	s.bfsQueue = s.bfsQueue[:0]
-	for _, src := range [2]int32{e0.U, e0.V} {
-		if s.seen[src] != ep {
-			s.seen[src] = ep
-			s.dist[src] = 0
-			s.bfsQueue = append(s.bfsQueue, src)
-		}
-	}
 	maxR := 0
-	for head := 0; head < len(s.bfsQueue) && need > 0; head++ {
-		v := s.bfsQueue[head]
+	g.BFSEpochWith(&s.bfs, []int32{e0.U, e0.V}, -1, func(v int32, d int) bool {
 		if s.needed[v] == ep {
 			need--
-			if d := int(s.dist[v]); d > maxR {
-				maxR = d
-			}
+			maxR = max(maxR, d)
 		}
-		for _, a := range g.Adj(v) {
-			if s.seen[a.To] != ep {
-				s.seen[a.To] = ep
-				s.dist[a.To] = s.dist[v] + 1
-				s.bfsQueue = append(s.bfsQueue, a.To)
-			}
-		}
-	}
+		return need > 0
+	})
 	return maxR
 }
 

@@ -16,7 +16,7 @@ func saturate(t *testing.T, g *graph.Graph, palettes [][]int32) *forest.State {
 	t.Helper()
 	st := forest.New(g)
 	for id := int32(0); int(id) < g.M(); id++ {
-		seq, _ := FindAugmenting(st, palettes, id, nil, nil, 0)
+		seq, _ := NewSearcher(st).FindAugmenting(palettes, id, nil, nil)
 		if seq == nil {
 			t.Fatalf("no augmenting sequence for edge %d", id)
 		}
@@ -62,7 +62,7 @@ func TestAugmentKeepsPartialValidityAfterEveryStep(t *testing.T) {
 	palettes := FullPalettes(g.M(), 3)
 	st := forest.New(g)
 	for id := int32(0); int(id) < g.M(); id++ {
-		seq, _ := FindAugmenting(st, palettes, id, nil, nil, 0)
+		seq, _ := NewSearcher(st).FindAugmenting(palettes, id, nil, nil)
 		if seq == nil {
 			t.Fatalf("no augmenting sequence for edge %d", id)
 		}
@@ -82,7 +82,7 @@ func TestAugmentRespectsLists(t *testing.T) {
 	}
 	st := forest.New(g)
 	for id := int32(0); int(id) < g.M(); id++ {
-		seq, _ := FindAugmenting(st, palettes, id, nil, nil, 0)
+		seq, _ := NewSearcher(st).FindAugmenting(palettes, id, nil, nil)
 		if seq == nil {
 			t.Fatalf("no augmenting sequence for edge %d", id)
 		}
@@ -102,7 +102,7 @@ func TestAugmentSequenceShapeInvariants(t *testing.T) {
 	palettes := FullPalettes(g.M(), 4)
 	st := forest.New(g)
 	for id := int32(0); int(id) < g.M(); id++ {
-		seq, _ := FindAugmenting(st, palettes, id, nil, nil, 0)
+		seq, _ := NewSearcher(st).FindAugmenting(palettes, id, nil, nil)
 		if seq == nil {
 			t.Fatalf("no augmenting sequence for edge %d", id)
 		}
@@ -126,7 +126,7 @@ func TestAugmentLengthAndRadiusBounds(t *testing.T) {
 	st := forest.New(g)
 	bound := 4*int(math.Log2(float64(g.M()))) + 8
 	for id := int32(0); int(id) < g.M(); id++ {
-		seq, stats := FindAugmenting(st, palettes, id, nil, nil, 0)
+		seq, stats := NewSearcher(st).FindAugmenting(palettes, id, nil, nil)
 		if seq == nil {
 			t.Fatalf("no augmenting sequence for edge %d", id)
 		}
@@ -150,27 +150,6 @@ func TestAugmentTightPalette(t *testing.T) {
 	}
 }
 
-func TestAugmentMaxVisitedCap(t *testing.T) {
-	g := gen.Clique(6) // arboricity 3
-	st := forest.New(g)
-	palettes := FullPalettes(g.M(), 3)
-	// Color greedily until some edge needs a real search, then cap it
-	// absurdly low and expect failure.
-	for id := int32(0); int(id) < g.M(); id++ {
-		seq, stats := FindAugmenting(st, palettes, id, nil, nil, 1)
-		if seq == nil {
-			if stats.Visited == 0 {
-				t.Fatal("no exploration recorded")
-			}
-			return // expected: cap hit
-		}
-		Apply(st, seq)
-	}
-	// If everything colored greedily, the cap never bit; that's fine too,
-	// but K6 with 3 colors requires at least one non-trivial sequence.
-	t.Log("K6 saturated without hitting the visit cap")
-}
-
 func TestAugmentWithinSearchRestriction(t *testing.T) {
 	// Restricting the search region to the start edge's endpoints can
 	// only yield length-1 sequences (or failure).
@@ -180,10 +159,10 @@ func TestAugmentWithinSearchRestriction(t *testing.T) {
 	for id := int32(0); int(id) < g.M(); id++ {
 		e := g.Edge(id)
 		within := func(v int32) bool { return v == e.U || v == e.V }
-		seq, _ := FindAugmenting(st, palettes, id, within, nil, 0)
+		seq, _ := NewSearcher(st).FindAugmenting(palettes, id, within, nil)
 		if seq == nil {
 			// Fall back to unrestricted to keep saturating.
-			seq, _ = FindAugmenting(st, palettes, id, nil, nil, 0)
+			seq, _ = NewSearcher(st).FindAugmenting(palettes, id, nil, nil)
 			if seq == nil {
 				t.Fatalf("unrestricted search failed for edge %d", id)
 			}
@@ -203,7 +182,7 @@ func TestGrowthIsGeometricUntilTermination(t *testing.T) {
 	palettes := FullPalettes(g.M(), 7)
 	st := forest.New(g)
 	for id := int32(0); int(id) < g.M(); id++ {
-		seq, stats := FindAugmenting(st, palettes, id, nil, nil, 0)
+		seq, stats := NewSearcher(st).FindAugmenting(palettes, id, nil, nil)
 		if seq == nil {
 			t.Fatalf("no augmenting sequence for edge %d", id)
 		}

@@ -26,7 +26,7 @@ const (
 // RunCutModDepth exposes the mod-depth CUT rule standalone, for the
 // Figure 3 experiment and for external study of the rule's behaviour.
 func RunCutModDepth(st *forest.State, annulus []int32, inInner func(int32) bool, r int, src *rng.Source) []int32 {
-	return cutModDepth(st, st.Scratch(), annulus, inInner, r, src)
+	return cutModDepth(st, forest.NewScratch(st.Graph().N()), annulus, inInner, r, src)
 }
 
 // RunCutSampled exposes one invocation of the conditioned-sampling CUT

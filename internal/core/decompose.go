@@ -121,16 +121,22 @@ func forestDecompositionOnce(ctx context.Context, g *graph.Graph, opts FDOptions
 
 	res := &FDResult{
 		Colors:        colors,
+		NumColors:     k,
 		MainColors:    k,
 		LeftoverEdges: len(a2.Leftover),
 		Stats:         a2.Stats,
 	}
-	// Recolor the leftover with reserve colors k, k+1, ...
-	extra, err := recolorLeftover(ctx, g, colors, a2.Leftover, k, opts, cost)
-	if err != nil {
-		return nil, err
+	if len(a2.Leftover) > 0 {
+		// Recolor the leftover with reserve colors k, k+1, ..., peeling
+		// from the Theorem 4.2 leftover bound ~eps*alpha.
+		sub, emap := g.SubgraphOfEdges(a2.Leftover)
+		t2 := max(2, int(math.Ceil(opts.Eps*float64(opts.Alpha))))
+		t2, err := peelRecolor(ctx, sub, emap, colors, int32(k), t2, opts.Alpha, hpartition.ForestDecomposition, cost)
+		if err != nil {
+			return nil, fmt.Errorf("core: leftover recoloring: %w", err)
+		}
+		res.NumColors += t2
 	}
-	res.NumColors = k + extra
 	if opts.Checkpoint != nil {
 		// The leftover is colored: this snapshot is the complete
 		// (pre-diameter-reduction) decomposition, so a deadline firing
@@ -153,40 +159,34 @@ func forestDecompositionOnce(ctx context.Context, g *graph.Graph, opts FDOptions
 	return res, nil
 }
 
-// recolorLeftover colors the given edges with fresh colors offset, offset+1,
-// ... using the H-partition forest decomposition; it returns the number of
-// extra colors used. The threshold starts at the Theorem 4.2 leftover
-// bound ~eps*alpha and doubles on failure (always succeeding by 3*alpha,
-// since the leftover is a subgraph of g).
-func recolorLeftover(ctx context.Context, g *graph.Graph, colors []int32, leftover []int32, offset int, opts FDOptions, cost *dist.Cost) (int, error) {
-	if len(leftover) == 0 {
-		return 0, nil
-	}
-	sub, emap := g.SubgraphOfEdges(leftover)
-	t2 := int(math.Ceil(opts.Eps * float64(opts.Alpha)))
-	if t2 < 2 {
-		t2 = 2
-	}
+// peelRecolor colors the edges of sub, a subgraph of the input whose
+// edge IDs emap maps back, with fresh colors offset, offset+1, ...: it
+// peels sub's H-partition at threshold t, doubling t while the peel is
+// stuck, and labels the result with label,
+// hpartition.ForestDecomposition or StarForestDecomposition. It returns
+// the t that peeled. sub is a subgraph of a graph of arboricity alpha,
+// so it peels by t = 3*alpha; a peel stuck past 3*alpha+4 is an error.
+func peelRecolor(ctx context.Context, sub *graph.Graph, emap, colors []int32, offset int32, t, alpha int,
+	label func(*graph.Graph, *hpartition.Result, *dist.Cost) ([]int32, error), cost *dist.Cost) (int, error) {
 	for {
-		hp, err := hpartition.Partition(ctx, sub, t2, 8*sub.N()+16, cost)
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return 0, ctxErr
+		hp, err := hpartition.Partition(ctx, sub, t, 8*sub.N()+16, cost)
+		if err == nil {
+			subColors, err := label(sub, hp, cost)
+			if err != nil {
+				return 0, err
 			}
-			if t2 > 3*opts.Alpha+4 {
-				return 0, fmt.Errorf("core: leftover recoloring failed even at t=%d: %w", t2, err)
+			for subID, c := range subColors {
+				colors[emap[subID]] = offset + c
 			}
-			t2 *= 2
-			continue
+			return t, nil
 		}
-		subColors, err := hpartition.ForestDecomposition(sub, hp, cost)
-		if err != nil {
-			return 0, err
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return 0, ctxErr
 		}
-		for subID, c := range subColors {
-			colors[emap[subID]] = int32(offset) + c
+		if t > 3*alpha+4 {
+			return 0, fmt.Errorf("peel failed even at t=%d: %w", t, err)
 		}
-		return t2, nil
+		t *= 2
 	}
 }
 

@@ -213,11 +213,12 @@ func TestCutModDepthDisconnects(t *testing.T) {
 	}
 	inInner := func(v int32) bool { return v < 60 }
 	r := 80
-	removed := cutModDepth(st, st.Scratch(), annulus, inInner, r, rng.New(1))
+	sc := forest.NewScratch(g.N())
+	removed := cutModDepth(st, sc, annulus, inInner, r, rng.New(1))
 	if len(removed) == 0 {
 		t.Fatal("nothing cut")
 	}
-	if st.ConnectedInColor(0, 0, int32(n-1), nil) {
+	if st.ConnectedInColorWith(sc, 0, 0, int32(n-1), nil) {
 		t.Fatal("path still crosses the annulus")
 	}
 	// Load per vertex: each removal charges the child endpoint once.
@@ -232,7 +233,7 @@ func TestCutSampledRespectsLoadCap(t *testing.T) {
 	palettes := FullPalettes(g.M(), 4)
 	st := forest.New(g)
 	for id := int32(0); int(id) < g.M(); id++ {
-		seq, _ := FindAugmenting(st, palettes, id, nil, nil, 0)
+		seq, _ := NewSearcher(st).FindAugmenting(palettes, id, nil, nil)
 		if seq == nil {
 			t.Fatal("saturation failed")
 		}

@@ -29,7 +29,7 @@ func CutDepth(ctx context.Context, g *graph.Graph, colors []int32, numColors, z,
 	if z < 2 {
 		z = 2
 	}
-	st := forest.FromColors(g, colors)
+	st, sc := forest.FromColors(g, colors), forest.NewScratch(g.N())
 	src := rng.New(seed)
 	all := make([]int32, g.N())
 	for v := range all {
@@ -37,7 +37,7 @@ func CutDepth(ctx context.Context, g *graph.Graph, colors []int32, numColors, z,
 	}
 	var removed []int32
 	for c := int32(0); c < int32(numColors); c++ {
-		trees := st.RootedTreesInColor(c, all, nil)
+		trees := st.RootedTreesInColorWith(sc, c, all, nil)
 		for ti, tr := range trees {
 			maxDepth := int32(0)
 			for _, d := range tr.Depth {
@@ -69,29 +69,10 @@ func CutDepth(ctx context.Context, g *graph.Graph, colors []int32, numColors, z,
 	// <= 2) keep the overall diameter bound intact, at 3x the color cost
 	// (Theorem 2.1(3)), exactly as the paper's proof does.
 	sub, emap := g.SubgraphOfEdges(removed)
-	t2 := int(math.Ceil(eps * float64(alpha)))
-	if t2 < 2 {
-		t2 = 2
+	t2 := max(2, int(math.Ceil(eps*float64(alpha))))
+	t2, err := peelRecolor(ctx, sub, emap, out, int32(numColors), t2, alpha, hpartition.StarForestDecomposition, cost)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: diameter-cut recoloring: %w", err)
 	}
-	for {
-		hp, err := hpartition.Partition(ctx, sub, t2, 8*sub.N()+16, cost)
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, 0, ctxErr
-			}
-			if t2 > 3*alpha+4 {
-				return nil, 0, fmt.Errorf("core: diameter-cut recoloring failed at t=%d: %w", t2, err)
-			}
-			t2 *= 2
-			continue
-		}
-		subColors, err := hpartition.StarForestDecomposition(sub, hp, cost)
-		if err != nil {
-			return nil, 0, err
-		}
-		for subID, c := range subColors {
-			out[emap[subID]] = int32(numColors) + c
-		}
-		return out, 3 * t2, nil
-	}
+	return out, 3 * t2, nil
 }

@@ -15,9 +15,10 @@ import (
 // every C(x, c) materialized and enqueued in palette order until the
 // first empty one, so the paths of a terminal edge's connected colors
 // are followed too. It must return FindAugmenting's sequence, Length,
-// Radius and GrowthSizes; its Visited may only be larger.
+// Radius and GrowthSizes; its Visited may only be larger. Its Radius
+// comes from radiusRef, not from the Searcher's early-stopping BFS.
 func pathFirstSearch(s *Searcher, palettes [][]int32, start int32,
-	withinSearch, withinPath func(int32) bool, maxVisited int) (Sequence, SearchStats) {
+	withinSearch, withinPath func(int32) bool) (Sequence, SearchStats) {
 
 	var stats SearchStats
 	st, g := s.st, s.g
@@ -44,7 +45,7 @@ func pathFirstSearch(s *Searcher, palettes [][]int32, start int32,
 				seq := shortCircuit(st, s.fsc, s.backtrack(x, c), withinPath)
 				stats.Visited = visited
 				stats.Length = len(seq)
-				stats.Radius = s.seqRadius(seq)
+				stats.Radius = radiusRef(g, seq)
 				return seq, stats
 			}
 			for _, y := range path {
@@ -61,12 +62,26 @@ func pathFirstSearch(s *Searcher, palettes [][]int32, start int32,
 				s.queue = append(s.queue, y)
 			}
 		}
-		if maxVisited > 0 && visited > maxVisited {
-			break
-		}
 	}
 	stats.Visited = visited
 	return nil, stats
+}
+
+// radiusRef is seqRadius by a whole-graph BFS from the start edge's
+// endpoints: the largest distance of a later sequence edge's endpoint.
+func radiusRef(g *graph.Graph, seq Sequence) int {
+	if len(seq) <= 1 {
+		return 0
+	}
+	dist := make([]int, g.N())
+	e0 := g.Edge(seq[0].Edge)
+	g.BFS([]int32{e0.U, e0.V}, -1, func(v int32, d int) { dist[v] = d })
+	r := 0
+	for _, step := range seq[1:] {
+		e := g.Edge(step.Edge)
+		r = max(r, dist[e.U], dist[e.V])
+	}
+	return r
 }
 
 // randomLists gives each edge a random palette of 2..k distinct colors
@@ -101,9 +116,9 @@ func randomRegion(n int, r *rng.Source) func(int32) bool {
 // TestFindAugmentingMatchesPathFirst checks FindAugmenting against
 // pathFirstSearch on random partial colorings: forest unions, small
 // roads and multigraphs with parallel edges, under full palettes and
-// random lists, nil and random regions, and visit caps small enough to
-// trip. Every sequence found without a path region is applied before
-// the next search, so later searches run on evolving forests.
+// random lists, and nil and random regions. Every sequence found without
+// a path region is applied before the next search, so later searches run
+// on evolving forests.
 func TestFindAugmentingMatchesPathFirst(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -120,7 +135,7 @@ func TestFindAugmentingMatchesPathFirst(t *testing.T) {
 		{"multigraph-lists", gen.MultiplyEdges(gen.ForestUnion(60, 2, 5), 2), 6, true},
 		{"clique", gen.Clique(10), 5, false},
 	}
-	var searches, grown, capped, exhausted, shrunk int
+	var searches, grown, exhausted, shrunk int
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 8; seed++ {
 			g := tc.g
@@ -132,7 +147,7 @@ func TestFindAugmentingMatchesPathFirst(t *testing.T) {
 			// Color nine edges in ten greedily, in random order, each
 			// with a random free color of its palette: the edges left
 			// without one need searches that grow.
-			st := forest.New(g)
+			st, sc := forest.New(g), forest.NewScratch(g.N())
 			for _, i := range r.Perm(g.M()) {
 				id := int32(i)
 				e := g.Edge(id)
@@ -141,7 +156,7 @@ func TestFindAugmentingMatchesPathFirst(t *testing.T) {
 					continue
 				}
 				for _, j := range r.Perm(len(pal)) {
-					if !st.ConnectedInColor(pal[j], e.U, e.V, nil) {
+					if !st.ConnectedInColorWith(sc, pal[j], e.U, e.V, nil) {
 						st.SetColor(id, pal[j])
 						break
 					}
@@ -160,17 +175,13 @@ func TestFindAugmentingMatchesPathFirst(t *testing.T) {
 						e := g.Edge(id)
 						withinSearch = func(v int32) bool { return v == e.U || v == e.V }
 					}
-					maxVisited := 0
-					if r.Bernoulli(0.3) {
-						maxVisited = 1 + r.Intn(6)
-					}
-					want, ws := pathFirstSearch(oracle, palettes, id, withinSearch, withinPath, maxVisited)
-					got, gs := fast.FindAugmenting(palettes, id, withinSearch, withinPath, maxVisited)
+					want, ws := pathFirstSearch(oracle, palettes, id, withinSearch, withinPath)
+					got, gs := fast.FindAugmenting(palettes, id, withinSearch, withinPath)
 					searches++
 					if !reflect.DeepEqual(got, want) || gs.Length != ws.Length || gs.Radius != ws.Radius ||
 						!reflect.DeepEqual(gs.GrowthSizes, ws.GrowthSizes) {
-						t.Fatalf("%s seed %d, edge %d (cap %d): got %v %+v, path-first %v %+v",
-							tc.name, seed, id, maxVisited, got, gs, want, ws)
+						t.Fatalf("%s seed %d, edge %d: got %v %+v, path-first %v %+v",
+							tc.name, seed, id, got, gs, want, ws)
 					}
 					switch {
 					case gs.Visited > ws.Visited || (got == nil && gs.Visited != ws.Visited):
@@ -194,8 +205,6 @@ func TestFindAugmentingMatchesPathFirst(t *testing.T) {
 						if err := verify.PartialForestDecomposition(g, st.Colors(), tc.k); err != nil {
 							t.Fatalf("%s seed %d, after edge %d: %v", tc.name, seed, id, err)
 						}
-					case maxVisited > 0 && gs.Visited > maxVisited:
-						capped++
 					default:
 						exhausted++
 					}
@@ -206,10 +215,10 @@ func TestFindAugmentingMatchesPathFirst(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d searches: %d sequences longer than one step, %d capped, %d exhausted, %d with fewer edges visited",
-		searches, grown, capped, exhausted, shrunk)
-	if grown == 0 || capped == 0 || exhausted == 0 || shrunk == 0 {
-		t.Fatal("the random cases no longer cover grown, capped, exhausted and shortened searches")
+	t.Logf("%d searches: %d sequences longer than one step, %d exhausted, %d with fewer edges visited",
+		searches, grown, exhausted, shrunk)
+	if grown == 0 || exhausted == 0 || shrunk == 0 {
+		t.Fatal("the random cases no longer cover grown, exhausted and shortened searches")
 	}
 }
 
@@ -230,11 +239,11 @@ func TestFindAugmentingAllocs(t *testing.T) {
 	palettes := FullPalettes(g.M(), k+1)
 	s := NewSearcher(st)
 	want := Sequence{{Edge: start, Color: k}}
-	if seq, _ := s.FindAugmenting(palettes, start, nil, nil, 0); !reflect.DeepEqual(seq, want) {
+	if seq, _ := s.FindAugmenting(palettes, start, nil, nil); !reflect.DeepEqual(seq, want) {
 		t.Fatalf("search from %d = %v, want %v", start, seq, want)
 	}
 	if a := testing.AllocsPerRun(20, func() {
-		s.FindAugmenting(palettes, start, nil, nil, 0)
+		s.FindAugmenting(palettes, start, nil, nil)
 	}); a != 1 {
 		t.Fatalf("a search with %d connected colors before its free one allocates %.1f, want 1 (its sequence)", k, a)
 	}

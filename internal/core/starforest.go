@@ -31,8 +31,6 @@ type SFDOptions struct {
 	// SelectProb overrides Lemma 5.3's per-color selection probability
 	// 1-eps for the list variant (0 = auto).
 	SelectProb float64
-	// MaxLLLIters bounds the resampling loop (0 = auto).
-	MaxLLLIters int
 }
 
 // SFDResult is a star-forest decomposition.
@@ -191,10 +189,6 @@ func StarForestDecomposition(ctx context.Context, g *graph.Graph, opts SFDOption
 
 	// LLL repair: bad event at v = deficiency above target. Variables are
 	// the color sets of v and its out-neighborhood heads.
-	maxIters := opts.MaxLLLIters
-	if maxIters == 0 {
-		maxIters = 60*int(logN) + 200
-	}
 	inst := lll.Instance{
 		NumEvents: g.N(),
 		Vars: func(i int) []int32 {
@@ -213,7 +207,7 @@ func StarForestDecomposition(ctx context.Context, g *graph.Graph, opts SFDOption
 		Resample:    func(v int32) { draw(v) },
 		EventRadius: 2,
 	}
-	iters, err := lll.Solve(ctx, inst, maxIters, cost)
+	iters, err := lll.Solve(ctx, inst, 60*int(logN)+200, cost)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
@@ -251,31 +245,9 @@ func StarForestDecomposition(ctx context.Context, g *graph.Graph, opts SFDOption
 		sub, emap := g.SubgraphOfEdges(leftover)
 		alphaLeft := orient.PseudoArboricity(sub)
 		cost.Charge(int(math.Ceil(logN)), "core/sfd-leftover-measure")
-		t2 := alphaLeft
-		if t2 < 1 {
-			t2 = 1
-		}
-		t2 = int(math.Ceil(2.5 * float64(t2)))
-		for {
-			hp, err := hpartition.Partition(ctx, sub, t2, 8*sub.N()+16, cost)
-			if err != nil {
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return nil, ctxErr
-				}
-				if t2 > 3*opts.Alpha+4 {
-					return nil, fmt.Errorf("core: SFD leftover recoloring failed at t=%d: %w", t2, err)
-				}
-				t2 *= 2
-				continue
-			}
-			subColors, err := hpartition.StarForestDecomposition(sub, hp, cost)
-			if err != nil {
-				return nil, err
-			}
-			for subID, c := range subColors {
-				colors[emap[subID]] = int32(t) + c
-			}
-			break
+		t2 := int(math.Ceil(2.5 * float64(max(1, alphaLeft))))
+		if _, err := peelRecolor(ctx, sub, emap, colors, int32(t), t2, opts.Alpha, hpartition.StarForestDecomposition, cost); err != nil {
+			return nil, fmt.Errorf("core: SFD leftover recoloring: %w", err)
 		}
 	}
 	// Report the colors actually used (list palettes may exceed [0, t)).

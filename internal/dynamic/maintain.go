@@ -95,8 +95,10 @@ type Maintainer struct {
 
 	// st holds the coloring by overlay edge ID, or is nil after a
 	// compaction, when frozen holds it by the new base's edge IDs
-	// instead (see state).
+	// instead (see state). sc backs st's queries; state builds it with
+	// the first State.
 	st        *forest.State
+	sc        *forest.Scratch
 	frozen    []int32
 	numColors int
 
@@ -139,6 +141,9 @@ func (m *Maintainer) state() *forest.State {
 	if m.st == nil {
 		m.st = forest.FromColors(m.dg.Base(), m.frozen)
 		m.frozen = nil
+		if m.sc == nil {
+			m.sc = forest.NewScratch(m.dg.Base().N())
+		}
 	}
 	return m.st
 }
@@ -233,7 +238,7 @@ func (m *Maintainer) freeColor(u, v int32) int32 {
 		}
 	}
 	for c := int32(0); c < int32(m.numColors); c++ {
-		if !m.st.ConnectedInColor(c, u, v, nil) {
+		if !m.st.ConnectedInColorWith(m.sc, c, u, v, nil) {
 			return c
 		}
 	}
@@ -251,7 +256,7 @@ func (m *Maintainer) freeColor(u, v int32) int32 {
 func (m *Maintainer) augmentRepair(id int32) int32 {
 	id = m.freeze()[id]
 	st := m.state()
-	seq, stats := core.NewSearcher(st).FindAugmenting(core.FullPalettes(m.dg.M(), m.numColors), id, nil, nil, 0)
+	seq, stats := core.NewSearcher(st).FindAugmenting(core.FullPalettes(m.dg.M(), m.numColors), id, nil, nil)
 	if seq == nil {
 		m.numColors++
 		st.SetColor(id, int32(m.numColors-1))

@@ -1,14 +1,15 @@
 package experiments
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // TestAllExperimentsRun executes every registered experiment at scale 1
 // and checks that the emitted tables are well-formed and contain no
-// violated invariants (except the probabilistic "sampled" CUT row, whose
-// goodness is w.h.p. only).
+// violated invariants.
 func TestAllExperimentsRun(t *testing.T) {
 	for _, r := range Registry {
 		r := r
@@ -29,8 +30,44 @@ func TestAllExperimentsRun(t *testing.T) {
 			if !strings.Contains(out, tab.ID) {
 				t.Fatalf("%s: Format() missing ID", r.Name)
 			}
-			if strings.Contains(out, "VIOLATED") && r.Name != "fig3" {
+			if strings.Contains(out, "VIOLATED") {
 				t.Fatalf("%s: invariant violated:\n%s", r.Name, out)
+			}
+		})
+	}
+}
+
+// TestExperimentsDeterministic runs every fast-tier experiment twice at
+// scale 1 and requires equal rows and metrics: given a seed, every run
+// is bit-identical. Only the values read from a clock or the allocator
+// are skipped.
+func TestExperimentsDeterministic(t *testing.T) {
+	skipColumn := map[string]string{"exact": "ms", "dynamic": "speedup", "dispatch": "allocs/dispatch"}
+	skipMetric := map[string]string{"dynamic": "speedup", "dispatch": "allocs_per_dispatch"}
+	for _, r := range Registry {
+		if r.Tier != "" {
+			continue
+		}
+		t.Run(r.Name, func(t *testing.T) {
+			var runs [2]*Table
+			for i := range runs {
+				tab, err := r.Run(Config{Scale: 1, Seed: 12345})
+				if err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+				if col := slices.Index(tab.Header, skipColumn[r.Name]); col >= 0 {
+					for _, row := range tab.Rows {
+						row[col] = ""
+					}
+				}
+				delete(tab.Metrics, skipMetric[r.Name])
+				runs[i] = tab
+			}
+			if !reflect.DeepEqual(runs[0].Rows, runs[1].Rows) {
+				t.Fatalf("rows differ between runs:\n%v\n%v", runs[0].Rows, runs[1].Rows)
+			}
+			if !reflect.DeepEqual(runs[0].Metrics, runs[1].Metrics) {
+				t.Fatalf("metrics differ between runs:\n%v\n%v", runs[0].Metrics, runs[1].Metrics)
 			}
 		})
 	}

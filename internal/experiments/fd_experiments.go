@@ -104,7 +104,7 @@ func Figure1(cfg Config) (*Table, error) {
 		searcher := core.NewSearcher(st)
 		sumLen, maxLen, maxRad := 0, 0, 0
 		for id := int32(0); int(id) < g.M(); id++ {
-			seq, stats := searcher.FindAugmenting(palettes, id, nil, nil, 0)
+			seq, stats := searcher.FindAugmenting(palettes, id, nil, nil)
 			if seq == nil {
 				return nil, fmt.Errorf("fig1: no augmenting sequence for edge %d", id)
 			}
@@ -153,7 +153,7 @@ func Figure2(cfg Config) (*Table, error) {
 	searcher := core.NewSearcher(st)
 	maxIters, worstFinal := 0, 0
 	for id := int32(0); int(id) < g.M(); id++ {
-		seq, stats := searcher.FindAugmenting(palettes, id, nil, nil, 0)
+		seq, stats := searcher.FindAugmenting(palettes, id, nil, nil)
 		if seq == nil {
 			return nil, fmt.Errorf("fig2: no augmenting sequence for edge %d", id)
 		}
@@ -198,47 +198,58 @@ func Figure3(cfg Config) (*Table, error) {
 		searcher := core.NewSearcher(st)
 		palettes := core.FullPalettes(g.M(), k)
 		for id := int32(0); int(id) < g.M(); id++ {
-			seq, _ := searcher.FindAugmenting(palettes, id, nil, nil, 0)
+			seq, _ := searcher.FindAugmenting(palettes, id, nil, nil)
 			if seq == nil {
 				return nil, fmt.Errorf("fig3: saturation failed")
 			}
 			core.Apply(st, seq)
 		}
-		// Annulus around vertex 0: inner ball radius 3, outer radius 3+R.
+		// Annulus around vertex 0: inner ball radius 3, outer radius 3+R,
+		// both from one BFS (dist -1 outside the outer ball). The inner
+		// ball and the annulus are listed in vertex order, as Algorithm 2
+		// hands CUT its annulus, so the rules' draws follow a fixed order.
 		r := 10
-		innerSet := make(map[int32]bool)
-		g.BFS([]int32{0}, 3, func(v int32, _ int) { innerSet[v] = true })
-		outerSet := make(map[int32]bool)
-		g.BFS([]int32{0}, 3+r, func(v int32, _ int) { outerSet[v] = true })
-		var annulus []int32
-		for v := range outerSet {
-			if !innerSet[v] {
-				annulus = append(annulus, v)
+		dist := make([]int32, g.N())
+		for v := range dist {
+			dist[v] = -1
+		}
+		g.BFS([]int32{0}, 3+r, func(v int32, d int) { dist[v] = int32(d) })
+		var inner, annulus []int32
+		for v, d := range dist {
+			switch {
+			case d > 3:
+				annulus = append(annulus, int32(v))
+			case d >= 0:
+				inner = append(inner, int32(v))
 			}
 		}
 		var removed []int32
 		src := rng.New(cfg.Seed + 11)
 		switch rule {
 		case "mod-depth":
-			removed = core.RunCutModDepth(st, annulus, func(v int32) bool { return innerSet[v] }, r, src)
+			inInner := func(v int32) bool { return dist[v] >= 0 && dist[v] <= 3 }
+			removed = core.RunCutModDepth(st, annulus, inInner, r, src)
 		case "sampled":
 			removed = core.RunCutSampled(g, st, annulus, alpha, 0.9, src)
 		}
 		// Count surviving monochromatic crossings: a color component that
-		// touches the inner ball and escapes the outer ball.
+		// touches the inner ball and escapes the outer ball, once each.
 		crossings := 0
+		sc := forest.NewScratch(g.N())
+		seen := make([]bool, g.N())
 		for c := int32(0); c < int32(k); c++ {
-			seen := map[int32]bool{}
-			for v := range innerSet {
+			clear(seen)
+			for _, v := range inner {
 				if st.DegreeInColor(v, c) == 0 || seen[v] {
 					continue
 				}
-				for _, w := range st.ComponentInColor(c, v) {
+				escapes := false
+				for _, w := range st.ComponentInColorWith(sc, c, v) {
 					seen[w] = true
-					if !outerSet[w] {
-						crossings++
-						break
-					}
+					escapes = escapes || dist[w] < 0
+				}
+				if escapes {
+					crossings++
 				}
 			}
 		}

@@ -35,9 +35,9 @@ import (
 // the split, so a class is a forest exactly when none of its edges is
 // parked, and then its rooted forest is the class itself.
 //
-// Concurrency: the convenience query methods share the State's built-in
-// Scratch, so a State is not safe for concurrent use in general. The
-// ...With variants take an explicit Scratch. Queries read the parent
+// Concurrency: every query takes the caller's Scratch and the State
+// holds no query state, so queries on distinct Scratches may run
+// concurrently while nothing updates the State. Queries read the parent
 // edges of the vertices they walk, and a SetColor or Recolor touches the
 // trees of the edges' endpoints, not only the endpoints: a link reroots
 // one endpoint's tree, and a cut may relink a parked edge. Callers that
@@ -56,8 +56,6 @@ type State struct {
 	// parked lists the colored edges that are in no rooted forest: each
 	// closed a cycle in its class when it was linked.
 	parked []int32
-
-	sc *Scratch
 }
 
 // colorSlot is one color's incidence list at a vertex, with the vertex's
@@ -84,7 +82,6 @@ func New(g *graph.Graph) *State {
 		edges:  slices.Clip(g.Edges()), // an AddEdge copies, not writes into g
 		colors: make([]int32, g.M()),
 		adj:    make([][]colorSlot, g.N()),
-		sc:     NewScratch(g.N()),
 	}
 	for i := range s.colors {
 		s.colors[i] = verify.Uncolored
@@ -244,11 +241,6 @@ func (s *State) AddEdge(e graph.Edge) int32 {
 	s.colors = append(s.colors, verify.Uncolored)
 	return int32(len(s.edges) - 1)
 }
-
-// Scratch returns the State's built-in query scratch (the one the
-// convenience methods use). Concurrent readers must use their own
-// NewScratch instead.
-func (s *State) Scratch() *Scratch { return s.sc }
 
 // Color returns the color of edge id (verify.Uncolored if none).
 func (s *State) Color(id int32) int32 { return s.colors[id] }
@@ -478,10 +470,11 @@ func (s *State) ColorsAt(v int32) []int32 {
 	return out
 }
 
-// PathInColor returns the edge IDs of the unique u-v path in the c-colored
-// forest, ordered from v to u, or nil if u and v are disconnected in
-// color c. If within is non-nil, the search only traverses vertices w
-// with within(w) true (u and v themselves are always allowed); a path
+// PathInColorWith returns the edge IDs of the unique u-v path in the
+// c-colored forest, ordered from v to u, or nil if u and v are
+// disconnected in color c. The query runs on the caller's Scratch. If
+// within is non-nil, the search only traverses vertices w with
+// within(w) true (u and v themselves are always allowed); a path
 // escaping the region is treated as disconnection. This is the paper's
 // C(e, c) primitive.
 //
@@ -492,11 +485,6 @@ func (s *State) ColorsAt(v int32) []int32 {
 // search). If the class has a cycle, a non-nil answer is still a simple
 // c-colored u-v path through the region, but not necessarily the one a
 // BFS from u finds, and nil may be returned although such a path exists.
-func (s *State) PathInColor(c, u, v int32, within func(int32) bool) []int32 {
-	return s.PathInColorWith(s.sc, c, u, v, within)
-}
-
-// PathInColorWith is PathInColor on a caller-owned Scratch.
 func (s *State) PathInColorWith(sc *Scratch, c, u, v int32, within func(int32) bool) []int32 {
 	if u == v {
 		return []int32{}
@@ -585,16 +573,12 @@ func (s *State) search(sc *Scratch, c, u, v int32, within func(int32) bool) (a, 
 	return -1, -1, -1, false
 }
 
-// ConnectedInColor reports whether u and v are connected in color c,
-// searching only within the given region (nil = everywhere). Unlike
-// PathInColor it does not materialize the path, so it is allocation-free.
-// The precondition and cost are PathInColor's: the c-class must be a
-// forest, and the query costs the walk up to the meeting vertex.
-func (s *State) ConnectedInColor(c, u, v int32, within func(int32) bool) bool {
-	return s.ConnectedInColorWith(s.sc, c, u, v, within)
-}
-
-// ConnectedInColorWith is ConnectedInColor on a caller-owned Scratch.
+// ConnectedInColorWith reports whether u and v are connected in color c,
+// searching only within the given region (nil = everywhere), on the
+// caller's Scratch. Unlike PathInColorWith it does not materialize the
+// path, so it is allocation-free. The precondition and cost are
+// PathInColorWith's: the c-class must be a forest, and the query costs
+// the walk up to the meeting vertex.
 func (s *State) ConnectedInColorWith(sc *Scratch, c, u, v int32, within func(int32) bool) bool {
 	if u == v {
 		return true
@@ -603,13 +587,9 @@ func (s *State) ConnectedInColorWith(sc *Scratch, c, u, v int32, within func(int
 	return ok
 }
 
-// ComponentInColor returns the vertices of the c-colored component
-// containing v (including v even if isolated in c).
-func (s *State) ComponentInColor(c, v int32) []int32 {
-	return s.ComponentInColorWith(s.sc, c, v)
-}
-
-// ComponentInColorWith is ComponentInColor on a caller-owned Scratch.
+// ComponentInColorWith returns the vertices of the c-colored component
+// containing v (including v even if isolated in c), on the caller's
+// Scratch.
 func (s *State) ComponentInColorWith(sc *Scratch, c, v int32) []int32 {
 	sc.grow(s.g.N())
 	ep := sc.next()
@@ -637,16 +617,12 @@ type Rooted struct {
 	Depth  []int32
 }
 
-// RootedTreesInColor decomposes the c-colored forest restricted to the
-// given vertex region into rooted trees. Roots are chosen by preference:
-// if rootPref is non-nil and returns true for some vertex of a tree, the
-// first such vertex (in region order) becomes the root; otherwise the
-// first-encountered vertex does. Vertices outside region are ignored.
-func (s *State) RootedTreesInColor(c int32, region []int32, rootPref func(int32) bool) []Rooted {
-	return s.RootedTreesInColorWith(s.sc, c, region, rootPref)
-}
-
-// RootedTreesInColorWith is RootedTreesInColor on a caller-owned Scratch.
+// RootedTreesInColorWith decomposes the c-colored forest restricted to
+// the given vertex region into rooted trees, on the caller's Scratch.
+// Roots are chosen by preference: if rootPref is non-nil and returns
+// true for some vertex of a tree, the first such vertex (in region
+// order) becomes the root; otherwise the first-encountered vertex does.
+// Vertices outside region are ignored.
 func (s *State) RootedTreesInColorWith(sc *Scratch, c int32, region []int32, rootPref func(int32) bool) []Rooted {
 	// One epoch stamps both scratch arrays: regionMark gates membership,
 	// mark tracks visitation. The per-call maps this replaces dominated

@@ -52,18 +52,18 @@ func TestPathInColor(t *testing.T) {
 	g := graph.MustNew(5, []graph.Edge{
 		graph.E(0, 1), graph.E(1, 2), graph.E(2, 3), graph.E(3, 4),
 	})
-	s := FromColors(g, []int32{0, 0, 0, 1})
-	p := s.PathInColor(0, 0, 3, nil)
+	s, sc := FromColors(g, []int32{0, 0, 0, 1}), NewScratch(g.N())
+	p := s.PathInColorWith(sc, 0, 0, 3, nil)
 	if len(p) != 3 {
 		t.Fatalf("path length = %d, want 3", len(p))
 	}
-	if s.PathInColor(0, 0, 4, nil) != nil {
+	if s.PathInColorWith(sc, 0, 0, 4, nil) != nil {
 		t.Fatal("found color-0 path into color-1 territory")
 	}
-	if s.PathInColor(1, 3, 4, nil) == nil {
+	if s.PathInColorWith(sc, 1, 3, 4, nil) == nil {
 		t.Fatal("missed color-1 path")
 	}
-	if !s.ConnectedInColor(0, 1, 3, nil) {
+	if !s.ConnectedInColorWith(sc, 0, 1, 3, nil) {
 		t.Fatal("ConnectedInColor false for connected pair")
 	}
 }
@@ -72,13 +72,13 @@ func TestPathInColorWithin(t *testing.T) {
 	// Path 0-1-2-3 color 0. Restricting the region to exclude vertex 1
 	// must disconnect 0 from 3.
 	g := graph.MustNew(4, []graph.Edge{graph.E(0, 1), graph.E(1, 2), graph.E(2, 3)})
-	s := FromColors(g, []int32{0, 0, 0})
+	s, sc := FromColors(g, []int32{0, 0, 0}), NewScratch(g.N())
 	within := func(v int32) bool { return v != 1 }
-	if p := s.PathInColor(0, 0, 3, within); p != nil {
+	if p := s.PathInColorWith(sc, 0, 0, 3, within); p != nil {
 		t.Fatalf("path %v found through excluded vertex", p)
 	}
 	// Endpoints are always allowed even if within() would reject them.
-	if p := s.PathInColor(0, 0, 1, func(v int32) bool { return false }); p == nil {
+	if p := s.PathInColorWith(sc, 0, 0, 1, func(v int32) bool { return false }); p == nil {
 		t.Fatal("single-hop path rejected by region filter")
 	}
 }
@@ -87,16 +87,16 @@ func TestComponentInColor(t *testing.T) {
 	g := graph.MustNew(5, []graph.Edge{
 		graph.E(0, 1), graph.E(1, 2), graph.E(3, 4),
 	})
-	s := FromColors(g, []int32{2, 2, 2})
-	comp := s.ComponentInColor(2, 0)
+	s, sc := FromColors(g, []int32{2, 2, 2}), NewScratch(g.N())
+	comp := s.ComponentInColorWith(sc, 2, 0)
 	if len(comp) != 3 {
 		t.Fatalf("component size = %d, want 3", len(comp))
 	}
-	comp = s.ComponentInColor(2, 3)
+	comp = s.ComponentInColorWith(sc, 2, 3)
 	if len(comp) != 2 {
 		t.Fatalf("component size = %d, want 2", len(comp))
 	}
-	if got := s.ComponentInColor(9, 0); len(got) != 1 {
+	if got := s.ComponentInColorWith(sc, 9, 0); len(got) != 1 {
 		t.Fatalf("missing color component = %v, want singleton", got)
 	}
 }
@@ -115,9 +115,9 @@ func TestRootedTreesInColor(t *testing.T) {
 	g := graph.MustNew(6, []graph.Edge{
 		graph.E(0, 1), graph.E(0, 2), graph.E(0, 3), graph.E(4, 5),
 	})
-	s := FromColors(g, []int32{0, 0, 0, 0})
+	s, sc := FromColors(g, []int32{0, 0, 0, 0}), NewScratch(g.N())
 	region := []int32{0, 1, 2, 3, 4, 5}
-	trees := s.RootedTreesInColor(0, region, nil)
+	trees := s.RootedTreesInColorWith(sc, 0, region, nil)
 	if len(trees) != 2 {
 		t.Fatalf("got %d trees, want 2", len(trees))
 	}
@@ -138,9 +138,9 @@ func TestRootedTreesInColor(t *testing.T) {
 
 func TestRootedTreesRootPreference(t *testing.T) {
 	g := graph.MustNew(4, []graph.Edge{graph.E(0, 1), graph.E(1, 2), graph.E(2, 3)})
-	s := FromColors(g, []int32{0, 0, 0})
+	s, sc := FromColors(g, []int32{0, 0, 0}), NewScratch(g.N())
 	region := []int32{0, 1, 2, 3}
-	trees := s.RootedTreesInColor(0, region, func(v int32) bool { return v == 2 })
+	trees := s.RootedTreesInColorWith(sc, 0, region, func(v int32) bool { return v == 2 })
 	if len(trees) != 1 {
 		t.Fatalf("got %d trees, want 1", len(trees))
 	}
@@ -153,8 +153,8 @@ func TestRootedTreesRegionRestriction(t *testing.T) {
 	// Path 0-1-2-3 color 0; region excludes vertex 2 so the tree from 0
 	// must stop at 1 and vertex 3 is unreachable.
 	g := graph.MustNew(4, []graph.Edge{graph.E(0, 1), graph.E(1, 2), graph.E(2, 3)})
-	s := FromColors(g, []int32{0, 0, 0})
-	trees := s.RootedTreesInColor(0, []int32{0, 1, 3}, nil)
+	s, sc := FromColors(g, []int32{0, 0, 0}), NewScratch(g.N())
+	trees := s.RootedTreesInColorWith(sc, 0, []int32{0, 1, 3}, nil)
 	sizes := map[int]bool{}
 	for _, tr := range trees {
 		sizes[len(tr.Verts)] = true
@@ -214,13 +214,13 @@ func TestPathMatchesSubgraphBFS(t *testing.T) {
 		}
 		// Force acyclicity per color to keep paths unique: drop edges that
 		// close cycles.
-		s := New(g)
+		s, sc := New(g), NewScratch(g.N())
 		for id, c := range colors {
 			if c == verify.Uncolored {
 				continue
 			}
 			e := g.Edge(int32(id))
-			if !s.ConnectedInColor(c, e.U, e.V, nil) {
+			if !s.ConnectedInColorWith(sc, c, e.U, e.V, nil) {
 				s.SetColor(int32(id), c)
 			}
 		}
@@ -234,7 +234,7 @@ func TestPathMatchesSubgraphBFS(t *testing.T) {
 			if c == verify.Uncolored {
 				continue
 			}
-			path := s.PathInColor(c, u, v, nil)
+			path := s.PathInColorWith(sc, c, u, v, nil)
 			// Cross-check connectivity via the subgraph.
 			var ids []int32
 			for id := int32(0); int(id) < g.M(); id++ {

@@ -185,10 +185,11 @@ func TestConcurrentReadersWithScratches(t *testing.T) {
 	type query struct{ c, u, v int32 }
 	queries := make([]query, 200)
 	want := make([][]int32, len(queries))
+	sc := NewScratch(g.N())
 	for i := range queries {
 		q := query{int32(src.Intn(4)), int32(src.Intn(g.N())), int32(src.Intn(g.N()))}
 		queries[i] = q
-		want[i] = st.PathInColor(q.c, q.u, q.v, nil)
+		want[i] = st.PathInColorWith(sc, q.c, q.u, q.v, nil)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -296,12 +296,13 @@ func TestSearchRegionCases(t *testing.T) {
 			}
 			within = func(x int32) bool { return !out[x] }
 		}
+		sc := NewScratch(g.N())
 		for _, bulk := range []bool{true, false} {
 			s := stateWith(g, colors, bulk)
-			if got := s.PathInColor(tc.c, tc.u, tc.v, within); !reflect.DeepEqual(got, tc.want) {
+			if got := s.PathInColorWith(sc, tc.c, tc.u, tc.v, within); !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("%s (bulk=%v): PathInColor = %v, want %v", tc.name, bulk, got, tc.want)
 			}
-			if got := s.ConnectedInColor(tc.c, tc.u, tc.v, within); got != (tc.want != nil) {
+			if got := s.ConnectedInColorWith(sc, tc.c, tc.u, tc.v, within); got != (tc.want != nil) {
 				t.Errorf("%s (bulk=%v): ConnectedInColor = %v", tc.name, bulk, got)
 			}
 			if oracle := oraclePath(s, tc.c, tc.u, tc.v, within); !reflect.DeepEqual(oracle, tc.want) {

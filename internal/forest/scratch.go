@@ -4,8 +4,8 @@ import "math"
 
 // Scratch holds the epoch-stamped buffers behind the State query methods
 // (PathInColorWith, ConnectedInColorWith, ComponentInColorWith,
-// RootedTreesInColorWith). A State carries one built-in Scratch for the
-// convenience methods; concurrent readers bring their own so that
+// RootedTreesInColorWith). Every query takes one and a State has none of
+// its own, so reads on distinct Scratches may run concurrently, and
 // queries over disjoint regions of one State can run in parallel (the
 // parallel per-cluster phase of Algorithm 2 gives each worker its own
 // Scratch).
@@ -21,7 +21,7 @@ type Scratch struct {
 	// query owns two fresh epochs (next), which the path search uses to
 	// tell its two sides apart. Bumping epoch invalidates all marks in
 	// O(1), so the queries themselves allocate only their results. The
-	// augmenting-sequence search calls PathInColor once per (edge,
+	// augmenting-sequence search calls PathInColorWith once per (edge,
 	// color) probe — with per-call maps this scratch was ~95% of the
 	// end-to-end decomposition's allocated bytes.
 	mark       []uint32

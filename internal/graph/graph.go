@@ -208,61 +208,25 @@ func (g *Graph) Density() float64 {
 	return float64(len(g.edges)) / float64(g.n-1)
 }
 
-// BFSScratch holds the reusable buffers of a breadth-first search. The
-// zero value is ready to use; a scratch passed to repeated BFSWith calls
-// (possibly over different graphs) amortizes the per-search allocations
-// away. A scratch must not be shared between concurrent searches.
-type BFSScratch struct {
-	dist  []int32
-	queue []int32
-}
-
 // BFS runs a breadth-first search from each source, visiting every vertex
 // reachable within maxDist hops (maxDist < 0 means unbounded). It calls
 // visit(v, dist) once per reached vertex, in nondecreasing order of dist.
-// The sources themselves are visited at distance 0.
+// The sources themselves are visited at distance 0. It runs BFSEpochWith
+// on a fresh scratch.
 func (g *Graph) BFS(sources []int32, maxDist int, visit func(v int32, dist int)) {
-	g.BFSWith(&BFSScratch{}, sources, maxDist, visit)
-}
-
-// BFSWith is BFS with caller-owned scratch buffers, for hot loops that
-// search repeatedly and must not reallocate the frontier each time.
-func (g *Graph) BFSWith(s *BFSScratch, sources []int32, maxDist int, visit func(v int32, dist int)) {
-	if cap(s.dist) < g.n {
-		s.dist = make([]int32, g.n)
-	}
-	dist := s.dist[:g.n]
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := s.queue[:0]
-	for _, src := range sources {
-		if dist[src] == -1 {
-			dist[src] = 0
-			queue = append(queue, src)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		visit(v, int(dist[v]))
-		if maxDist >= 0 && int(dist[v]) >= maxDist {
-			continue
-		}
-		for _, a := range g.Adj(v) {
-			if dist[a.To] == -1 {
-				dist[a.To] = dist[v] + 1
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	s.queue = queue
+	g.BFSEpochWith(&BFSEpochScratch{}, sources, maxDist, func(v int32, d int) bool {
+		visit(v, d)
+		return true
+	})
 }
 
 // BFSEpochScratch backs BFSEpochWith: an epoch-stamped seen array
-// replaces BFSWith's O(n) distance reset, so a search costs only the
-// vertices it reaches. Use it when one caller runs many small BFS over
-// the same large graph (the per-cluster ball computations of Algorithm
-// 2). A scratch must not be shared between concurrent searches.
+// replaces an O(n) distance reset, so a search costs only the vertices
+// it reaches. Use it when one caller runs many small BFS over the same
+// large graph (the per-cluster ball computations of Algorithm 2). The
+// zero value is ready to use, and one scratch may serve searches over
+// different graphs. A scratch must not be shared between concurrent
+// searches.
 type BFSEpochScratch struct {
 	seen  []uint32
 	dist  []int32
@@ -270,10 +234,11 @@ type BFSEpochScratch struct {
 	epoch uint32
 }
 
-// BFSEpochWith is BFSWith on epoch-stamped scratch: identical visit
-// order and semantics, but per-call cost proportional to the reached
-// set instead of the whole graph.
-func (g *Graph) BFSEpochWith(s *BFSEpochScratch, sources []int32, maxDist int, visit func(v int32, dist int)) {
+// BFSEpochWith is BFS on caller-owned epoch-stamped scratch, with a
+// per-call cost proportional to the reached set instead of the whole
+// graph. visit returns whether to go on: false ends the search at that
+// vertex, before its neighbours are enqueued.
+func (g *Graph) BFSEpochWith(s *BFSEpochScratch, sources []int32, maxDist int, visit func(v int32, dist int) bool) {
 	if cap(s.seen) < g.n {
 		s.seen = make([]uint32, g.n)
 		s.dist = make([]int32, g.n)
@@ -295,7 +260,9 @@ func (g *Graph) BFSEpochWith(s *BFSEpochScratch, sources []int32, maxDist int, v
 	}
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		visit(v, int(dist[v]))
+		if !visit(v, int(dist[v])) {
+			break
+		}
 		if maxDist >= 0 && int(dist[v]) >= maxDist {
 			continue
 		}
@@ -345,7 +312,10 @@ func (g *Graph) Components() (label []int32, count int) {
 		}
 		c := int32(count)
 		count++
-		g.BFSEpochWith(&s, []int32{v}, -1, func(w int32, _ int) { label[w] = c })
+		g.BFSEpochWith(&s, []int32{v}, -1, func(w int32, _ int) bool {
+			label[w] = c
+			return true
+		})
 	}
 	return label, count
 }

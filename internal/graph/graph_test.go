@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -316,30 +317,42 @@ func TestBFSVisitsEachVertexOnce(t *testing.T) {
 	}
 }
 
-// TestBFSEpochMatchesBFSWith checks the epoch-stamped BFS visits the
-// same (vertex, dist) sequence as the reset-per-call BFS, across many
-// reuses of one scratch (including epoch turnover).
+// TestBFSEpochMatchesBFSWith checks that one epoch-stamped scratch,
+// reused across many searches (including epoch turnover), visits the
+// same (vertex, dist) sequence as a fresh scratch, and that a visit
+// returning false ends the search at that vertex.
 func TestBFSEpochMatchesBFSWith(t *testing.T) {
 	g := path(30)
-	var es BFSEpochScratch
-	var ws BFSScratch
+	var reused BFSEpochScratch
+	reused.epoch = ^uint32(0) - 20 // wraps mid-run
+	type vd struct {
+		v int32
+		d int
+	}
 	for trial := 0; trial < 50; trial++ {
 		src := []int32{int32(trial % 30), int32((7 * trial) % 30)}
 		maxD := trial%7 - 1 // includes -1 (unbounded)
-		type vd struct {
-			v int32
-			d int
-		}
 		var a, b []vd
-		g.BFSEpochWith(&es, src, maxD, func(v int32, d int) { a = append(a, vd{v, d}) })
-		g.BFSWith(&ws, src, maxD, func(v int32, d int) { b = append(b, vd{v, d}) })
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: %d vs %d visits", trial, len(a), len(b))
+		g.BFSEpochWith(&reused, src, maxD, func(v int32, d int) bool {
+			a = append(a, vd{v, d})
+			return true
+		})
+		g.BFSEpochWith(&BFSEpochScratch{}, src, maxD, func(v int32, d int) bool {
+			b = append(b, vd{v, d})
+			return true
+		})
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("trial %d: reused scratch visits %v, fresh %v", trial, a, b)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d visit %d: %v vs %v", trial, i, a[i], b[i])
-			}
+		// Stop at the k-th visit: the visits are exactly the first k.
+		k := 1 + trial%len(b)
+		var c []vd
+		g.BFSEpochWith(&reused, src, maxD, func(v int32, d int) bool {
+			c = append(c, vd{v, d})
+			return len(c) < k
+		})
+		if !reflect.DeepEqual(c, b[:k]) {
+			t.Fatalf("trial %d: stopping at visit %d visits %v, want %v", trial, k, c, b[:k])
 		}
 	}
 }

@@ -76,8 +76,6 @@ type Config struct {
 	// parameter). 0 defaults to 2s.
 	PollWait time.Duration
 
-	// Client is the HTTP client (nil = a dedicated default client).
-	Client *http.Client
 	// Logf, when non-nil, receives setup/progress lines.
 	Logf func(format string, args ...any)
 }
@@ -116,9 +114,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.AnytimeTimeout <= 0 {
 		cfg.AnytimeTimeout = 150 * time.Millisecond
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -398,7 +393,7 @@ func postJob(ctx context.Context, cfg *Config, base string, spec jobSpec) (*jobS
 		return nil, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -419,7 +414,7 @@ func pollJob(ctx context.Context, cfg *Config, base, id string) (*jobSnapshot, e
 	if err != nil {
 		return nil, err
 	}
-	resp, err := cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -481,7 +476,7 @@ func uploadGraph(ctx context.Context, cfg *Config, base string, g *graph.Graph) 
 		return "", err
 	}
 	req.Header.Set("Content-Type", "text/plain")
-	return graphInfoID(cfg.Client.Do(req))
+	return graphInfoID(http.DefaultClient.Do(req))
 }
 
 // mutateGraph derives the incremental child: a short path of inserted
@@ -502,7 +497,7 @@ func mutateGraph(ctx context.Context, cfg *Config, base, parentID string, n int)
 		return "", err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return graphInfoID(cfg.Client.Do(req))
+	return graphInfoID(http.DefaultClient.Do(req))
 }
 
 // graphInfoID decodes a POST /graphs or /graphs/{id}/edges response

@@ -366,7 +366,7 @@ func (s *Service) peerExecute(ctx context.Context, j *Job) (res *JobResult, err 
 // pushResultToTarget best-effort offers a locally computed result to
 // the key's routing target after a fallback compute, restoring the
 // "computed anywhere, hit everywhere" property once the fleet heals.
-// Async: the client's response never waits on it.
+// Async: the client's response never waits on it, and Close cancels it.
 func (s *Service) pushResultToTarget(spec JobSpec, res *JobResult) {
 	if s.cluster == nil || !spec.peerEligible() {
 		return
@@ -381,7 +381,7 @@ func (s *Service) pushResultToTarget(spec JobSpec, res *JobResult) {
 	}
 	key := spec.CacheKey()
 	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), peerCachePushTimeout)
+		ctx, cancel := context.WithTimeout(s.baseCtx, peerCachePushTimeout)
 		defer cancel()
 		if err := s.cluster.PushCachedResult(ctx, peer, key, data); err == nil {
 			s.peerCtr.cachePushes.Add(1)

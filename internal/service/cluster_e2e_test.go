@@ -2,11 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -286,5 +288,73 @@ func TestClusterDrainRouting(t *testing.T) {
 		Options: nwforest.Options{Alpha: 3, Eps: 0.5, Seed: 4}})
 	if snap := clusterSubmit(t, a.base, spec); snap.State != JobDone {
 		t.Fatalf("job beside a draining peer finished as %s (%s)", snap.State, snap.Error)
+	}
+}
+
+// TestCloseCancelsResultPush checks that Close ends the asynchronous
+// push of a fallback result to its routing target. A stub peer answers
+// the cache probe with 404 and the forward with 503, so the job computes
+// locally and then pushes; the stub holds PUT /peer/cache open until
+// its request context is done.
+func TestCloseCancelsResultPush(t *testing.T) {
+	pushed := make(chan struct{}, 1)
+	canceled := make(chan struct{}, 1)
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/peer/jobs":
+			w.WriteHeader(http.StatusServiceUnavailable)
+		case r.Method == http.MethodPut && r.URL.Path == "/peer/cache":
+			// The server sees the client go only once the body is read.
+			io.Copy(io.Discard, r.Body)
+			pushed <- struct{}{}
+			<-r.Context().Done()
+			canceled <- struct{}{}
+		default:
+			w.WriteHeader(http.StatusNotFound)
+		}
+	}))
+	defer stub.Close()
+
+	svc := newTestService(t, Config{Workers: 1})
+	clu, err := cluster.New(cluster.Config{
+		NodeID: "self",
+		Peers:  []cluster.Peer{{ID: "self", Addr: "http://127.0.0.1:1"}, {ID: "stub", Addr: stub.URL}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.AttachCluster(clu)
+	id := ""
+	for seed := uint64(1); seed <= 64 && id == ""; seed++ {
+		gid := addGraph(t, svc, gen.ForestUnion(60, 2, seed))
+		if _, self := clu.Route(gid); !self {
+			id = gid
+		}
+	}
+	if id == "" {
+		t.Fatal("no graph routes to the stub peer")
+	}
+	j, err := svc.Submit(JobSpec{GraphID: id, Algorithm: "decompose",
+		Options: nwforest.Options{Alpha: 2, Eps: 0.5, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := waitDone(t, svc, j); snap.State != JobDone {
+		t.Fatalf("job finished as %s (%s)", snap.State, snap.Error)
+	}
+	select {
+	case <-pushed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the fallback result was never pushed to the stub")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := svc.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-canceled:
+	case <-time.After(time.Second):
+		t.Fatal("the push was still open 1s after Close returned")
 	}
 }

@@ -70,9 +70,6 @@ type Config struct {
 	// memory bound (default service.DefaultMaxCacheBytes). The same
 	// budget bounds the results pinned by retained finished jobs.
 	ResultCacheBytes int64
-	// RetainJobs bounds how many finished jobs stay pollable before the
-	// oldest are forgotten (default 1024).
-	RetainJobs int
 	// DefaultTimeout applies to jobs that do not set TimeoutMillis
 	// (default 0 = no deadline).
 	DefaultTimeout time.Duration
@@ -120,16 +117,23 @@ type Config struct {
 	// as instant events: every Nth round of every simulated protocol run
 	// (0, the default, records no round events — phase spans only).
 	TraceRoundEvery int
-	// TraceCapacity / TraceMaxBytes bound the ring of finished traces
-	// (defaults 512 entries / 8 MiB); the oldest traces are evicted
-	// beyond either budget.
-	TraceCapacity int
-	TraceMaxBytes int64
-	// HistoryCapacity / HistoryMaxBytes bound the terminal-job history
-	// served by GET /jobs/history (defaults 4096 entries / 8 MiB).
+	// HistoryCapacity bounds the terminal-job history served by
+	// GET /jobs/history (default 4096 entries); the history also keeps
+	// at most 8 MiB.
 	HistoryCapacity int
-	HistoryMaxBytes int64
 }
+
+const (
+	// retainJobs bounds how many finished jobs stay pollable before the
+	// oldest are forgotten.
+	retainJobs = 1024
+	// traceCapacity and traceMaxBytes bound the ring of finished traces;
+	// the oldest traces are evicted beyond either budget.
+	traceCapacity = 512
+	traceMaxBytes = 8 << 20
+	// historyMaxBytes bounds the terminal-job history's bytes.
+	historyMaxBytes = 8 << 20
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -144,26 +148,14 @@ func (c Config) withDefaults() Config {
 	if c.ResultCapacity <= 0 {
 		c.ResultCapacity = 1024
 	}
-	if c.RetainJobs <= 0 {
-		c.RetainJobs = 1024
-	}
 	if c.SnapshotInterval == 0 {
 		c.SnapshotInterval = 5 * time.Minute
 	}
 	if c.AnytimeGrace <= 0 {
 		c.AnytimeGrace = 5 * time.Second
 	}
-	if c.TraceCapacity <= 0 {
-		c.TraceCapacity = 512
-	}
-	if c.TraceMaxBytes <= 0 {
-		c.TraceMaxBytes = 8 << 20
-	}
 	if c.HistoryCapacity <= 0 {
 		c.HistoryCapacity = 4096
-	}
-	if c.HistoryMaxBytes <= 0 {
-		c.HistoryMaxBytes = 8 << 20
 	}
 	return c
 }
@@ -292,10 +284,10 @@ func Open(cfg Config) (*Service, error) {
 		queue:    make(chan *Job, cfg.QueueDepth),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
-		history:  newJobHistory(cfg.HistoryCapacity, cfg.HistoryMaxBytes),
+		history:  newJobHistory(cfg.HistoryCapacity, historyMaxBytes),
 	}
 	if !cfg.DisableTracing {
-		s.traces = trace.NewRing(cfg.TraceCapacity, cfg.TraceMaxBytes)
+		s.traces = trace.NewRing(traceCapacity, traceMaxBytes)
 	}
 	if cfg.DataDir != "" {
 		if err := s.openPersistence(); err != nil {
@@ -866,7 +858,7 @@ type finishedRec struct {
 
 // pruneFinished records that j reached a terminal state: it releases j's
 // in-flight dedup slot and forgets the oldest finished jobs beyond the
-// retention budgets (cfg.RetainJobs entries; result bytes bounded by the
+// retention budgets (retainJobs entries; result bytes bounded by the
 // result-cache byte budget, since retained results pin memory exactly
 // like cache entries do). Queued and running jobs are never pruned.
 // It is every job's settle hook, so exactly one caller runs it per job:
@@ -915,7 +907,7 @@ func (s *Service) pruneFinished(j *Job) {
 	s.finished = append(s.finished, finishedRec{id: j.id, bytes: bytes})
 	s.retainedBytes += bytes
 	for len(s.finished) > 1 &&
-		(len(s.finished) > s.cfg.RetainJobs || s.retainedBytes > maxBytes) {
+		(len(s.finished) > retainJobs || s.retainedBytes > maxBytes) {
 		oldest := s.finished[0]
 		s.finished = s.finished[1:]
 		s.retainedBytes -= oldest.bytes
