@@ -417,7 +417,7 @@ func (rn *algo2Run) processCluster(ctx context.Context, job *clusterJob, a *algo
 	var cut []int32
 	switch rn.rule {
 	case CutModDepth:
-		cut = cutModDepth(rn.st, a.searcher.fsc, job.annulus, inInner, rn.r, rn.src.Split(uint64(job.center)+7))
+		cut = cutModDepth(rn.st, a.searcher.fsc, job.annulus, rn.r, rn.src.Split(uint64(job.center)+7))
 	case CutSampled:
 		cut = rn.sampler.cut(rn.st, job.annulus, rn.src.Split(uint64(job.center)+7))
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"nwforest/internal/forest"
 	"nwforest/internal/graph"
 	"nwforest/internal/rng"
@@ -25,8 +27,8 @@ const (
 
 // RunCutModDepth exposes the mod-depth CUT rule standalone, for the
 // Figure 3 experiment and for external study of the rule's behaviour.
-func RunCutModDepth(st *forest.State, annulus []int32, inInner func(int32) bool, r int, src *rng.Source) []int32 {
-	return cutModDepth(st, forest.NewScratch(st.Graph().N()), annulus, inInner, r, src)
+func RunCutModDepth(st *forest.State, annulus []int32, r int, src *rng.Source) []int32 {
+	return cutModDepth(st, forest.NewScratch(st.Graph().N()), annulus, r, src)
 }
 
 // RunCutSampled exposes one invocation of the conditioned-sampling CUT
@@ -47,7 +49,7 @@ func RunCutSampled(g *graph.Graph, st *forest.State, annulus []int32, alpha int,
 // monochromatic component of the annulus-induced subgraph has depth at
 // most n = floor((R-2)/2), disconnecting the inner region from vertices
 // beyond the annulus. Removed edges are uncolored in st and returned.
-func cutModDepth(st *forest.State, sc *forest.Scratch, annulus []int32, inInner func(int32) bool, r int, src *rng.Source) []int32 {
+func cutModDepth(st *forest.State, sc *forest.Scratch, annulus []int32, r int, src *rng.Source) []int32 {
 	n := (r - 2) / 2
 	if n < 1 {
 		n = 1
@@ -55,12 +57,10 @@ func cutModDepth(st *forest.State, sc *forest.Scratch, annulus []int32, inInner 
 	colors := annulusColors(st, annulus)
 	var removed []int32
 	for _, c := range colors {
-		trees := st.RootedTreesInColorWith(sc, c, annulus, inInner)
+		trees := st.RootedTreesInColorWith(sc, c, annulus)
 		for _, tr := range trees {
 			j := int32(src.Intn(n))
-			for i, v := range tr.Verts {
-				_ = v
-				d := tr.Depth[i]
+			for i, d := range tr.Depth {
 				if d > 0 && d%int32(n) == j {
 					id := tr.Parent[i]
 					if st.Color(id) == c {
@@ -75,25 +75,15 @@ func cutModDepth(st *forest.State, sc *forest.Scratch, annulus []int32, inInner 
 }
 
 // annulusColors collects the colors present on edges incident to the
-// annulus vertices, in deterministic order.
+// annulus vertices, in increasing order.
 func annulusColors(st *forest.State, annulus []int32) []int32 {
-	seen := make(map[int32]struct{})
 	var out []int32
 	for _, v := range annulus {
-		for _, c := range st.ColorsAt(v) {
-			if _, dup := seen[c]; !dup {
-				seen[c] = struct{}{}
-				out = append(out, c)
-			}
-		}
+		out = append(out, st.ColorsAt(v)...)
 	}
 	// ColorsAt's order is unspecified; sort for determinism.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // sampleCutState carries the global state of CutSampled across all CUT

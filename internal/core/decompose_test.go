@@ -211,10 +211,9 @@ func TestCutModDepthDisconnects(t *testing.T) {
 	for v := 60; v < 140; v++ {
 		annulus = append(annulus, int32(v))
 	}
-	inInner := func(v int32) bool { return v < 60 }
 	r := 80
 	sc := forest.NewScratch(g.N())
-	removed := cutModDepth(st, sc, annulus, inInner, r, rng.New(1))
+	removed := cutModDepth(st, sc, annulus, r, rng.New(1))
 	if len(removed) == 0 {
 		t.Fatal("nothing cut")
 	}

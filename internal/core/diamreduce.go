@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"nwforest/internal/dist"
 	"nwforest/internal/forest"
@@ -29,7 +30,12 @@ func CutDepth(ctx context.Context, g *graph.Graph, colors []int32, numColors, z,
 	if z < 2 {
 		z = 2
 	}
+	// The cuts go into out and st is only read: a c-edge's cut would
+	// change only c's incidence lists, and each color's trees are rooted
+	// before any of its cuts, so these are the trees a State updated cut
+	// by cut would give.
 	st, sc := forest.FromColors(g, colors), forest.NewScratch(g.N())
+	out := slices.Clone(colors)
 	src := rng.New(seed)
 	all := make([]int32, g.N())
 	for v := range all {
@@ -37,7 +43,7 @@ func CutDepth(ctx context.Context, g *graph.Graph, colors []int32, numColors, z,
 	}
 	var removed []int32
 	for c := int32(0); c < int32(numColors); c++ {
-		trees := st.RootedTreesInColorWith(sc, c, all, nil)
+		trees := st.RootedTreesInColorWith(sc, c, all)
 		for ti, tr := range trees {
 			maxDepth := int32(0)
 			for _, d := range tr.Depth {
@@ -53,7 +59,7 @@ func CutDepth(ctx context.Context, g *graph.Graph, colors []int32, numColors, z,
 				d := tr.Depth[i]
 				if d > 0 && d%int32(z) == j {
 					id := tr.Parent[i]
-					st.SetColor(id, verify.Uncolored)
+					out[id] = verify.Uncolored
 					removed = append(removed, id)
 				}
 			}
@@ -61,7 +67,6 @@ func CutDepth(ctx context.Context, g *graph.Graph, colors []int32, numColors, z,
 	}
 	cost.Charge(2*z+2, "core/diameter-cut")
 
-	out := st.Colors()
 	if len(removed) == 0 {
 		return out, 0, nil
 	}

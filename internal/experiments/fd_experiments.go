@@ -227,8 +227,7 @@ func Figure3(cfg Config) (*Table, error) {
 		src := rng.New(cfg.Seed + 11)
 		switch rule {
 		case "mod-depth":
-			inInner := func(v int32) bool { return dist[v] >= 0 && dist[v] <= 3 }
-			removed = core.RunCutModDepth(st, annulus, inInner, r, src)
+			removed = core.RunCutModDepth(st, annulus, r, src)
 		case "sampled":
 			removed = core.RunCutSampled(g, st, annulus, alpha, 0.9, src)
 		}

@@ -90,10 +90,11 @@ func New(g *graph.Graph) *State {
 }
 
 // FromColors returns a state initialized with the given coloring (which
-// is copied). The incidence index is built in bulk from a few arena
-// allocations instead of one append chain per SetColor, which matters to
-// callers that build a State per run or per compaction (Algorithm 2, the
-// dynamic Maintainer), and the rooted forests by one BFS per tree.
+// is copied), one color per edge of g: len(colors) must be g.M(). The
+// incidence index is built in bulk from two arenas instead of one
+// append chain per SetColor, which matters to callers that build a
+// State per run or per compaction (Algorithm 2, the dynamic Maintainer),
+// and the rooted forests by one BFS per tree.
 func FromColors(g *graph.Graph, colors []int32) *State {
 	s := New(g)
 	s.bulkLoad(colors)
@@ -101,65 +102,41 @@ func FromColors(g *graph.Graph, colors []int32) *State {
 	return s
 }
 
-// bulkLoad builds the incidence index for the given coloring.
-// The resulting per-(vertex, color) lists are identical — same contents,
-// same order — to those an id-ascending SetColor loop would build:
-// slots appear in first-occurrence order, ids ascend within a slot.
+// bulkLoad builds the incidence index for the given coloring. It reads
+// each vertex's edges from the CSR, which lists them in ID order, so the
+// per-(vertex, color) lists are identical — same contents, same order —
+// to those an id-ascending SetColor loop would build: slots appear in
+// first-occurrence order, ids ascend within a slot.
 func (s *State) bulkLoad(colors []int32) {
-	g := s.g
-	n := g.N()
-	// Pass 1: colored incidences per vertex.
-	deg := make([]int32, n)
+	// The colored incidences size both arenas: the ids exactly, and the
+	// slots from above (each holds at least one incidence), so neither
+	// reallocates.
 	total := 0
 	for id, c := range colors {
-		if c == verify.Uncolored {
-			continue
+		if c != verify.Uncolored {
+			s.colors[id] = c
+			total += 2
 		}
-		e := s.edges[id]
-		deg[e.U]++
-		deg[e.V]++
-		total += 2
-		s.colors[id] = c
 	}
 	if total == 0 {
 		return
 	}
-	// Pass 2: per-vertex colored incident edges, id-ascending, carved
-	// from one arena.
-	regionArena := make([]int32, total)
-	regions := make([][]int32, n)
-	off := 0
-	for v := 0; v < n; v++ {
-		regions[v] = regionArena[off : off : off+int(deg[v])]
-		off += int(deg[v])
-	}
-	for id, c := range colors {
-		if c == verify.Uncolored {
-			continue
-		}
-		e := s.edges[id]
-		regions[e.U] = append(regions[e.U], int32(id))
-		regions[e.V] = append(regions[e.V], int32(id))
-	}
-	// Pass 3: per vertex, discover its slots (first-occurrence color
-	// order) with per-slot counts, carve each slot's ids exactly from
-	// the shared arena, then fill. slotArena starts at one slot a vertex
-	// and grows by append, so it is reallocated several times when
-	// vertices hold a few colors each (a union of three forests has about
-	// three); earlier vertices keep their views into the old arrays. ids
-	// never reallocate.
-	slotArena := make([]colorSlot, 0, n)
+	// Per vertex, discover its slots (first-occurrence color order) with
+	// per-slot counts, carve each slot's ids exactly from the shared
+	// arena, then fill.
+	slotArena := make([]colorSlot, 0, total)
 	var cnts []int32
 	idsArena := make([]int32, total)
 	idsOff := 0
-	for v := 0; v < n; v++ {
-		if len(regions[v]) == 0 {
-			continue
-		}
+	for v := range s.adj {
+		arcs := s.g.Adj(int32(v))
 		start := len(slotArena)
 		cnts = cnts[:0]
-		for _, id := range regions[v] {
-			c := colors[id]
+		for _, a := range arcs {
+			c := colors[a.Edge]
+			if c == verify.Uncolored {
+				continue
+			}
 			found := -1
 			for i := start; i < len(slotArena); i++ {
 				if slotArena[i].c == c {
@@ -174,15 +151,21 @@ func (s *State) bulkLoad(colors []int32) {
 			}
 			cnts[found]++
 		}
+		if len(cnts) == 0 {
+			continue
+		}
 		for i, cnt := range cnts {
 			slotArena[start+i].ids = idsArena[idsOff : idsOff : idsOff+int(cnt)]
 			idsOff += int(cnt)
 		}
-		for _, id := range regions[v] {
-			c := colors[id]
+		for _, a := range arcs {
+			c := colors[a.Edge]
+			if c == verify.Uncolored {
+				continue
+			}
 			for i := start; i < len(slotArena); i++ {
 				if slotArena[i].c == c {
-					slotArena[i].ids = append(slotArena[i].ids, id)
+					slotArena[i].ids = append(slotArena[i].ids, a.Edge)
 					break
 				}
 			}
@@ -619,11 +602,13 @@ type Rooted struct {
 
 // RootedTreesInColorWith decomposes the c-colored forest restricted to
 // the given vertex region into rooted trees, on the caller's Scratch.
-// Roots are chosen by preference: if rootPref is non-nil and returns
-// true for some vertex of a tree, the first such vertex (in region
-// order) becomes the root; otherwise the first-encountered vertex does.
-// Vertices outside region are ignored.
-func (s *State) RootedTreesInColorWith(sc *Scratch, c int32, region []int32, rootPref func(int32) bool) []Rooted {
+// Each tree is rooted at its first vertex in region order and grown by
+// BFS, which takes a vertex's c-edges in incidence order; vertices
+// outside region are ignored. An edge that closes a cycle is no tree's
+// parent edge. The trees are views into three shared arrays, each with
+// capacity equal to its length, so appending to one tree's slice never
+// writes into another's.
+func (s *State) RootedTreesInColorWith(sc *Scratch, c int32, region []int32) []Rooted {
 	// One epoch stamps both scratch arrays: regionMark gates membership,
 	// mark tracks visitation. The per-call maps this replaces dominated
 	// the CUT procedures' allocation profile.
@@ -632,34 +617,37 @@ func (s *State) RootedTreesInColorWith(sc *Scratch, c int32, region []int32, roo
 	for _, v := range region {
 		sc.regionMark[v] = ep
 	}
-	var trees []Rooted
-	// Two passes so preferred roots win: first start trees from preferred
-	// vertices, then from anything left.
-	for pass := 0; pass < 2; pass++ {
-		for _, v := range region {
-			if sc.mark[v] == ep || s.DegreeInColor(v, c) == 0 {
-				continue
-			}
-			if pass == 0 && (rootPref == nil || !rootPref(v)) {
-				continue
-			}
-			tr := Rooted{Verts: []int32{v}, Parent: []int32{-1}, Depth: []int32{0}}
-			sc.mark[v] = ep
-			for head := 0; head < len(tr.Verts); head++ {
-				x := tr.Verts[head]
-				for _, id := range s.incident(x, c) {
-					y := s.edges[id].Other(x)
-					if sc.mark[y] == ep || sc.regionMark[y] != ep {
-						continue
-					}
-					sc.mark[y] = ep
-					tr.Verts = append(tr.Verts, y)
-					tr.Parent = append(tr.Parent, id)
-					tr.Depth = append(tr.Depth, tr.Depth[head]+1)
-				}
-			}
-			trees = append(trees, tr)
+	var verts, parent, depth []int32
+	roots := 0
+	for _, v := range region {
+		if sc.mark[v] == ep || s.DegreeInColor(v, c) == 0 {
+			continue
 		}
+		sc.mark[v] = ep
+		roots++
+		verts, parent, depth = append(verts, v), append(parent, -1), append(depth, 0)
+		for head := len(verts) - 1; head < len(verts); head++ {
+			x := verts[head]
+			for _, id := range s.incident(x, c) {
+				y := s.edges[id].Other(x)
+				if sc.mark[y] == ep || sc.regionMark[y] != ep {
+					continue
+				}
+				sc.mark[y] = ep
+				verts, parent, depth = append(verts, y), append(parent, id), append(depth, depth[head]+1)
+			}
+		}
+	}
+	// Each tree runs from its root, the only vertex at depth 0, to the
+	// next root.
+	trees := make([]Rooted, 0, roots)
+	for lo := 0; lo < len(verts); {
+		hi := lo + 1
+		for hi < len(verts) && depth[hi] > 0 {
+			hi++
+		}
+		trees = append(trees, Rooted{Verts: verts[lo:hi:hi], Parent: parent[lo:hi:hi], Depth: depth[lo:hi:hi]})
+		lo = hi
 	}
 	return trees
 }

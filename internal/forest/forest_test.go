@@ -117,7 +117,7 @@ func TestRootedTreesInColor(t *testing.T) {
 	})
 	s, sc := FromColors(g, []int32{0, 0, 0, 0}), NewScratch(g.N())
 	region := []int32{0, 1, 2, 3, 4, 5}
-	trees := s.RootedTreesInColorWith(sc, 0, region, nil)
+	trees := s.RootedTreesInColorWith(sc, 0, region)
 	if len(trees) != 2 {
 		t.Fatalf("got %d trees, want 2", len(trees))
 	}
@@ -136,25 +136,12 @@ func TestRootedTreesInColor(t *testing.T) {
 	}
 }
 
-func TestRootedTreesRootPreference(t *testing.T) {
-	g := graph.MustNew(4, []graph.Edge{graph.E(0, 1), graph.E(1, 2), graph.E(2, 3)})
-	s, sc := FromColors(g, []int32{0, 0, 0}), NewScratch(g.N())
-	region := []int32{0, 1, 2, 3}
-	trees := s.RootedTreesInColorWith(sc, 0, region, func(v int32) bool { return v == 2 })
-	if len(trees) != 1 {
-		t.Fatalf("got %d trees, want 1", len(trees))
-	}
-	if trees[0].Verts[0] != 2 {
-		t.Fatalf("root = %d, want preferred vertex 2", trees[0].Verts[0])
-	}
-}
-
 func TestRootedTreesRegionRestriction(t *testing.T) {
 	// Path 0-1-2-3 color 0; region excludes vertex 2 so the tree from 0
 	// must stop at 1 and vertex 3 is unreachable.
 	g := graph.MustNew(4, []graph.Edge{graph.E(0, 1), graph.E(1, 2), graph.E(2, 3)})
 	s, sc := FromColors(g, []int32{0, 0, 0}), NewScratch(g.N())
-	trees := s.RootedTreesInColorWith(sc, 0, []int32{0, 1, 3}, nil)
+	trees := s.RootedTreesInColorWith(sc, 0, []int32{0, 1, 3})
 	sizes := map[int]bool{}
 	for _, tr := range trees {
 		sizes[len(tr.Verts)] = true

@@ -1,8 +1,10 @@
 package forest
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nwforest/internal/gen"
@@ -341,6 +343,128 @@ func TestSearchAcrossEpochWraparound(t *testing.T) {
 			} else if got := s.ConnectedInColorWith(sc, q.c, q.u, q.v, nil); got != (want != nil) {
 				t.Fatalf("start %d, query %d: ConnectedInColorWith = %v, oracle path %v", start, i, got, want)
 			}
+		}
+	}
+}
+
+// oracleRootedTrees is RootedTreesInColorWith as it was before its trees
+// shared three arrays, without the root preference no caller set: each
+// tree grows its own slices, rooted at its first vertex in region
+// order. It has its own buffers, so it shares nothing with Scratch.
+func oracleRootedTrees(s *State, c int32, region []int32) []Rooted {
+	n := s.Graph().N()
+	in, seen := make([]bool, n), make([]bool, n)
+	for _, v := range region {
+		in[v] = true
+	}
+	var trees []Rooted
+	for _, v := range region {
+		if seen[v] || s.DegreeInColor(v, c) == 0 {
+			continue
+		}
+		tr := Rooted{Verts: []int32{v}, Parent: []int32{-1}, Depth: []int32{0}}
+		seen[v] = true
+		for head := 0; head < len(tr.Verts); head++ {
+			x := tr.Verts[head]
+			for _, id := range s.IncidentInColor(x, c) {
+				y := s.edges[id].Other(x)
+				if seen[y] || !in[y] {
+					continue
+				}
+				seen[y] = true
+				tr.Verts = append(tr.Verts, y)
+				tr.Parent = append(tr.Parent, id)
+				tr.Depth = append(tr.Depth, tr.Depth[head]+1)
+			}
+		}
+		trees = append(trees, tr)
+	}
+	return trees
+}
+
+// checkRootedTrees compares RootedTreesInColorWith on sc with the oracle,
+// and requires every returned slice to end at its capacity.
+func checkRootedTrees(t *testing.T, label string, s *State, sc *Scratch, c int32, region []int32) {
+	t.Helper()
+	got, want := s.RootedTreesInColorWith(sc, c, region), oracleRootedTrees(s, c, region)
+	if len(got) != len(want) {
+		t.Fatalf("%s, color %d: %d trees, oracle %d", label, c, len(got), len(want))
+	}
+	for i, tr := range got {
+		w := want[i]
+		if !slices.Equal(tr.Verts, w.Verts) || !slices.Equal(tr.Parent, w.Parent) || !slices.Equal(tr.Depth, w.Depth) {
+			t.Fatalf("%s, color %d, tree %d: got %+v, oracle %+v", label, c, i, tr, w)
+		}
+		if cap(tr.Verts) != len(tr.Verts) || cap(tr.Parent) != len(tr.Parent) || cap(tr.Depth) != len(tr.Depth) {
+			t.Fatalf("%s, color %d, tree %d: a slice has spare capacity (len %d; caps %d, %d, %d)",
+				label, c, i, len(tr.Verts), cap(tr.Verts), cap(tr.Parent), cap(tr.Depth))
+		}
+	}
+}
+
+// randomVertexList returns count random vertices of [0, n) in random
+// order, repeats included.
+func randomVertexList(n, count int, src *rng.Source) []int32 {
+	out := make([]int32, count)
+	for i := range out {
+		out[i] = int32(src.Intn(n))
+	}
+	return out
+}
+
+// TestRootedTreesMatchOracle compares the shared-array tree walk with
+// the per-tree one on random multigraphs, built by FromColors and by
+// SetColor and then churned by random recolorings, so incidence lists
+// are in swap-delete order. Colorings are random forests and arbitrary
+// classes with cycles; regions are every vertex in ID order and random
+// lists in random order with repeats; one Scratch serves every query.
+func TestRootedTreesMatchOracle(t *testing.T) {
+	const k = 4
+	for _, bulk := range []bool{true, false} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			src := rng.New(seed)
+			g := withParallels(randomGraph(250, 600, seed))
+			all := make([]int32, g.N())
+			for v := range all {
+				all[v] = int32(v)
+			}
+			colorings := [][]int32{randomForestColors(g, k, src), make([]int32, g.M())}
+			for id := range colorings[1] {
+				colorings[1][id] = int32(src.Intn(k+1)) - 1
+			}
+			sc := NewScratch(g.N())
+			for ci, colors := range colorings {
+				s := stateWith(g, colors, bulk)
+				for round := 0; round < 3; round++ {
+					label := fmt.Sprintf("bulk=%v seed %d coloring %d round %d", bulk, seed, ci, round)
+					for c := int32(-1); c <= k; c++ {
+						checkRootedTrees(t, label+", all", s, sc, c, all)
+						for _, size := range []int{1, 20, g.N() / 2, 2 * g.N()} {
+							checkRootedTrees(t, label+", random", s, sc, c, randomVertexList(g.N(), size, src))
+						}
+					}
+					for i := 0; i < 100; i++ {
+						s.SetColor(randomOp(src, g.M(), k))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRootedTreesAcrossEpochWraparound walks trees on one Scratch whose
+// epoch moves to just below uint32 wraparound, so the walks after it
+// reuse the lowest epochs over stale visitation and region stamps.
+func TestRootedTreesAcrossEpochWraparound(t *testing.T) {
+	src := rng.New(9)
+	g := gen.ForestUnion(200, 3, 9)
+	s := FromColors(g, unionColors(g))
+	for _, start := range []uint32{math.MaxUint32 - 6, math.MaxUint32 - 5, math.MaxUint32 - 2, math.MaxUint32 - 1, math.MaxUint32} {
+		sc := NewScratch(g.N())
+		s.RootedTreesInColorWith(sc, 0, randomVertexList(g.N(), g.N(), src))
+		sc.epoch = start
+		for q := 0; q < 40; q++ {
+			checkRootedTrees(t, fmt.Sprintf("start %d, query %d", start, q), s, sc, int32(q%3), randomVertexList(g.N(), 1+src.Intn(g.N()), src))
 		}
 	}
 }

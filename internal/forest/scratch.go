@@ -11,9 +11,9 @@ import "math"
 // Scratch).
 //
 // A Scratch must not be shared between concurrent queries, and a
-// `within`/`rootPref` callback must not call back into query methods
-// using the same Scratch — a nested query would restamp the buffers out
-// from under the outer one. Callbacks that only read Color/DegreeInColor
+// `within` callback must not call back into query methods using the
+// same Scratch — a nested query would restamp the buffers out from
+// under the outer one. Callbacks that only read Color/DegreeInColor
 // or caller-owned state are fine (every callback in this module is of
 // that form).
 type Scratch struct {

@@ -5,69 +5,53 @@
 // decompositions and many downstream algorithms. This package provides:
 //
 //   - FromForestDecomposition: orient every edge toward its tree root
-//     (the reduction behind Corollary 1.1 of the paper);
+//     (the reduction behind Corollary 1.1 of the paper), on the rooted
+//     trees of a forest.State;
 //   - MinMax: the exact centralized minimum-max-out-degree orientation via
 //     path reversal, also yielding the exact pseudo-arboricity;
 //   - Greedy: a linear-time 2α*-bounded starting orientation.
 package orient
 
 import (
+	"slices"
+
 	"nwforest/internal/dist"
+	"nwforest/internal/forest"
 	"nwforest/internal/graph"
 	"nwforest/internal/verify"
 )
 
 // FromForestDecomposition orients each colored edge toward the root of its
-// monochromatic tree (the minimum-ID vertex of the tree); uncolored edges
-// are oriented from U to V. If the decomposition uses k colors and has
-// diameter D, the result is a k-orientation obtained in O(D) rounds
-// (Corollary 1.1).
+// monochromatic tree; uncolored edges are oriented from U to V. The trees
+// are forest.State's RootedTreesInColorWith over every vertex in ID order,
+// so each is rooted at its minimum-ID vertex. If the decomposition uses k
+// colors and has diameter D, the result is a k-orientation obtained in
+// O(D) rounds (Corollary 1.1).
 func FromForestDecomposition(g *graph.Graph, colors []int32, cost *dist.Cost) *verify.Orientation {
 	o := verify.NewOrientation(g.M())
 	for id := range o.FromU {
 		o.FromU[id] = true // uncolored edges default to U -> V
 	}
-	byColor := make(map[int32][]int32)
-	for id, c := range colors {
-		if c != verify.Uncolored {
-			byColor[c] = append(byColor[c], int32(id))
-		}
+	st, sc := forest.FromColors(g, colors), forest.NewScratch(g.N())
+	all := make([]int32, g.N())
+	for v := range all {
+		all[v] = int32(v)
 	}
-	maxDepth := 0
-	for _, ids := range byColor {
-		// SubgraphOfEdges keeps vertex IDs, so subgraph vertices are
-		// original vertices.
-		sub, emap := g.SubgraphOfEdges(ids)
-		visited := make([]bool, sub.N())
-		for v := int32(0); int(v) < sub.N(); v++ {
-			if visited[v] || sub.Degree(v) == 0 {
-				continue
-			}
-			// v is the minimum-ID vertex of its component because vertices
-			// are scanned in increasing order. BFS-orient child -> parent.
-			visited[v] = true
-			queue := []int32{v}
-			depth := map[int32]int{v: 0}
-			for head := 0; head < len(queue); head++ {
-				x := queue[head]
-				for _, a := range sub.Adj(x) {
-					if visited[a.To] {
-						continue
-					}
-					visited[a.To] = true
-					depth[a.To] = depth[x] + 1
-					if depth[a.To] > maxDepth {
-						maxDepth = depth[a.To]
-					}
-					id := emap[a.Edge]
-					// a.To is the child; orient the edge away from it.
-					o.FromU[id] = g.Edge(id).U == a.To
-					queue = append(queue, a.To)
-				}
+	maxDepth := int32(0)
+	for _, c := range slices.Compact(slices.Sorted(slices.Values(colors))) {
+		if c == verify.Uncolored {
+			continue
+		}
+		for _, tr := range st.RootedTreesInColorWith(sc, c, all) {
+			for i := 1; i < len(tr.Verts); i++ {
+				// Verts[i] is the child; orient its parent edge away from it.
+				id := tr.Parent[i]
+				o.FromU[id] = g.Edge(id).U == tr.Verts[i]
+				maxDepth = max(maxDepth, tr.Depth[i])
 			}
 		}
 	}
-	cost.Charge(maxDepth+1, "orient/root-trees")
+	cost.Charge(int(maxDepth)+1, "orient/root-trees")
 	return o
 }
 

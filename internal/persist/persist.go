@@ -28,9 +28,9 @@
 // byte is verifiable, and replaying a record twice (snapshot + an
 // untruncated WAL after a crash between the two steps) is idempotent.
 //
-// Retention: Sweep deletes graph files that the live predicate rejects
-// (the store evicted or never knew them), then enforces an age bound
-// and a byte budget oldest-first. The age and byte bounds apply to
+// Retention: a checkpoint's sweep deletes graph files that its export
+// left out (the store evicted or never knew them), then enforces an age
+// bound and a byte budget oldest-first. The age and byte bounds apply to
 // referenced files too — they deliberately trade durability for disk:
 // a swept graph keeps serving from memory, but recovery will report it
 // missing. Checkpoint runs export + snapshot + WAL truncation + sweep
@@ -131,11 +131,11 @@ type Stats struct {
 type Log struct {
 	dir string
 
-	// barrier serializes appends (shared) against Snapshot, Sweep and
-	// Checkpoint (exclusive). Without it, an append fsynced between a
-	// checkpoint's state capture and its WAL truncation would be in
-	// neither the snapshot nor the WAL — an acked record silently lost
-	// on the next restart. It also keeps AppendGraph's
+	// barrier serializes appends (shared) against Checkpoint
+	// (exclusive). Without it, an append fsynced between a checkpoint's
+	// state capture and its WAL truncation would be in neither the
+	// snapshot nor the WAL — an acked record silently lost on the next
+	// restart. It also keeps AppendGraph's
 	// file-exists-so-skip-the-write fast path from racing a concurrent
 	// sweep's remove.
 	barrier sync.RWMutex
@@ -177,9 +177,6 @@ func (l *Log) Close() error {
 	l.wal = nil
 	return err
 }
-
-// Dir returns the data directory the Log was opened on.
-func (l *Log) Dir() string { return l.dir }
 
 // Stats returns a snapshot of the Log's counters.
 func (l *Log) Stats() Stats {
@@ -501,7 +498,8 @@ func (l *Log) appendRecord(r record) error {
 // to capture the caller's current state, that state is written as a
 // durable snapshot, the WAL is truncated, and a retention sweep prunes
 // the graph-file tier treating exactly the exported graphs as live
-// (maxAge and maxBytes as in Sweep). The barrier is what makes the cut
+// (maxAge and maxBytes bound the files' age and total size, live files
+// included; see sweepLocked). The barrier is what makes the cut
 // sound: state capture and WAL truncation see the same history, so an
 // append acked before the checkpoint is in the snapshot and an append
 // acked after it is in the (fresh) WAL — never neither. swept, when
@@ -529,23 +527,14 @@ func (l *Log) Checkpoint(export func() ([]GraphMeta, []ResultRecord), maxAge tim
 	return removed, nil
 }
 
-// Snapshot checkpoints the full state and truncates the WAL, excluding
-// concurrent appends for the duration. The caller must pass a state at
-// least as new as every append that has already returned — Checkpoint
-// does that by construction and is what the service uses; Snapshot
-// remains for callers that serialize appends themselves. The step order
-// is crash-safe: the snapshot is complete and durable before the WAL
-// shrinks, and a crash between the two steps only means the next
+// snapshotLocked checkpoints the full state and truncates the WAL; the
+// caller holds the write barrier, so no append runs meanwhile. The
+// caller must pass a state at least as new as every append that has
+// already returned, which Checkpoint does by construction. The step
+// order is crash-safe: the snapshot is complete and durable before the
+// WAL shrinks, and a crash between the two steps only means the next
 // recovery replays records whose effects the snapshot already holds —
 // replay is idempotent by graph ID and result key.
-func (l *Log) Snapshot(graphs []GraphMeta, results []ResultRecord) error {
-	l.barrier.Lock()
-	defer l.barrier.Unlock()
-	return l.snapshotLocked(graphs, results)
-}
-
-// snapshotLocked implements Snapshot; the caller holds the write
-// barrier.
 func (l *Log) snapshotLocked(graphs []GraphMeta, results []ResultRecord) error {
 	snap := snapshot{SavedAt: time.Now().UTC(), Graphs: graphs, Results: results}
 	data, err := json.Marshal(&snap)
@@ -579,24 +568,16 @@ func (l *Log) snapshotLocked(graphs []GraphMeta, results []ResultRecord) error {
 	return nil
 }
 
-// Sweep prunes the graph-file tier, excluding concurrent appends for
-// the duration: files whose ID the live predicate rejects are deleted
-// (the store evicted or never knew them), then files older than maxAge
-// (0 = no age bound) and, oldest first, files beyond the maxBytes
-// budget (0 = no byte bound) are deleted too. The age and byte bounds
-// apply to live files as well: they trade durability for disk. A swept
-// file only bounds durability — recovery skips records whose bytes are
-// gone; a running server keeps serving from memory.
-func (l *Log) Sweep(live func(id string) bool, maxAge time.Duration, maxBytes int64) (removed int, err error) {
-	l.barrier.Lock()
-	defer l.barrier.Unlock()
-	_, removed, err = l.sweepLocked(live, maxAge, maxBytes)
-	return removed, err
-}
-
-// sweepLocked implements Sweep; the caller holds the write barrier.
-// removedIDs lists the graph IDs whose files were deleted (stale temp
-// files count toward removed but carry no ID).
+// sweepLocked prunes the graph-file tier; the caller holds the write
+// barrier, so no append runs meanwhile. Files whose ID the live
+// predicate rejects are deleted (the store evicted or never knew them),
+// then files older than maxAge (0 = no age bound) and, oldest first,
+// files beyond the maxBytes budget (0 = no byte bound) are deleted too.
+// The age and byte bounds apply to live files as well: they trade
+// durability for disk. A swept file only bounds durability — recovery
+// skips records whose bytes are gone; a running server keeps serving
+// from memory. removedIDs lists the graph IDs whose files were deleted
+// (stale temp files count toward removed but carry no ID).
 func (l *Log) sweepLocked(live func(id string) bool, maxAge time.Duration, maxBytes int64) (removedIDs []string, removed int, err error) {
 	dir := filepath.Join(l.dir, graphsDir)
 	entries, err := os.ReadDir(dir)

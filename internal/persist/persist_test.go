@@ -110,10 +110,10 @@ func TestSnapshotTruncatesWALAndMerges(t *testing.T) {
 	if err := l.AppendResult("ka", json.RawMessage(`{"a":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Snapshot(
-		[]persist.GraphMeta{{ID: idA, Format: "plain"}},
-		[]persist.ResultRecord{{Key: "ka", Value: json.RawMessage(`{"a":1}`)}},
-	); err != nil {
+	if _, err := l.Checkpoint(func() ([]persist.GraphMeta, []persist.ResultRecord) {
+		return []persist.GraphMeta{{ID: idA, Format: "plain"}},
+			[]persist.ResultRecord{{Key: "ka", Value: json.RawMessage(`{"a":1}`)}}
+	}, 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := l.Stats(); st.WALBytes != 0 || st.Snapshots != 1 || st.LastSnapshot.IsZero() {
@@ -270,20 +270,31 @@ func TestSweepRetention(t *testing.T) {
 		}
 	}
 
+	// export snapshots the given graphs, and its checkpoint's sweep
+	// treats exactly them as live. Steps 2 and 3 export all four, so the
+	// last snapshot lists every graph, swept or not.
+	export := func(keep []string) func() ([]persist.GraphMeta, []persist.ResultRecord) {
+		return func() ([]persist.GraphMeta, []persist.ResultRecord) {
+			var graphs []persist.GraphMeta
+			for _, id := range keep {
+				graphs = append(graphs, persist.GraphMeta{ID: id, Format: "plain"})
+			}
+			return graphs, nil
+		}
+	}
 	// 1: dead IDs are removed.
-	dead := ids[0]
-	removed, err := l.Sweep(func(id string) bool { return id != dead }, 0, 0)
+	removed, err := l.Checkpoint(export(ids[1:]), 0, 0, nil)
 	if err != nil || removed != 1 {
 		t.Fatalf("dead sweep removed %d (%v), want 1", removed, err)
 	}
 	// 2: age bound removes the oldest survivors (ids[1] is now ~3h old).
-	removed, err = l.Sweep(func(string) bool { return true }, 150*time.Minute, 0)
+	removed, err = l.Checkpoint(export(ids), 150*time.Minute, 0, nil)
 	if err != nil || removed != 1 {
 		t.Fatalf("age sweep removed %d (%v), want 1", removed, err)
 	}
 	// 3: byte budget removes oldest-first down to the budget. Two 8-byte
 	// files remain; a 9-byte budget keeps only the newest.
-	removed, err = l.Sweep(func(string) bool { return true }, 0, 9)
+	removed, err = l.Checkpoint(export(ids), 0, 9, nil)
 	if err != nil || removed != 1 {
 		t.Fatalf("byte sweep removed %d (%v), want 1", removed, err)
 	}
