@@ -1,11 +1,15 @@
 package nwforest_test
 
 import (
+	"context"
 	"testing"
 
 	"nwforest"
 	"nwforest/internal/experiments"
 	"nwforest/internal/gen"
+	"nwforest/internal/graph"
+	"nwforest/internal/rng"
+	"nwforest/internal/verify"
 )
 
 // One benchmark per paper artifact: each runs the experiment that
@@ -98,6 +102,30 @@ func BenchmarkDecompose(b *testing.B) {
 		}
 		if d.NumForests < 4 {
 			b.Fatalf("NumForests = %d", d.NumForests)
+		}
+	}
+}
+
+// BenchmarkBeRoad is one op of perfbench's be-road workload: the "be"
+// baseline (α* = 3, ε = 0.5) through nwforest.Run on the 192×192 road
+// network with its edge IDs shuffled as the workload's seed 1 shuffles
+// them, then the workload's own check of the result. Run verifies the
+// coloring too, so an op walks its color classes twice.
+func BenchmarkBeRoad(b *testing.B) {
+	edges := append([]graph.Edge(nil), gen.RoadNetwork(192, 192, 1).Edges()...)
+	rng.New(1).Split(1).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	g := graph.MustNew(192*192, edges)
+	req := nwforest.Request{Algorithm: "be", AlphaStar: 3, Options: nwforest.Options{Eps: 0.5}}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := nwforest.Run(ctx, g, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := verify.ForestDecomposition(g, res.Decomposition.Colors, res.Decomposition.NumForests); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -202,7 +202,7 @@ func init() {
 			}
 			// core verifies forest-ness and palette respect; with uniform
 			// palettes [0, k) that subsumes the color-range check.
-			d := decomposition(res.Colors, res.ColorsUsed, verify.MaxForestDiameter(g, res.Colors), cost)
+			d := decomposition(res.Colors, res.ColorsUsed, res.Diameter, cost)
 			d.LeftoverEdges = res.LeftoverEdges
 			return &Result{Decomposition: d}, nil
 		},
@@ -233,7 +233,7 @@ func init() {
 				return nil, err
 			}
 			// core verifies the star decomposition itself; no re-check.
-			return &Result{Decomposition: decomposition(res.Colors, res.NumColors, verify.MaxForestDiameter(g, res.Colors), cost)}, nil
+			return &Result{Decomposition: decomposition(res.Colors, res.NumColors, res.Diameter, cost)}, nil
 		},
 	})
 
@@ -272,10 +272,11 @@ func init() {
 			if req.Palettes != nil {
 				k = int(verify.MaxColor(colors)) + 1
 			}
-			if err := verify.StarForestDecomposition(g, colors, k); err != nil {
+			diam, err := verify.StarForests(g, colors, k)
+			if err != nil {
 				return nil, fmt.Errorf("algo: result failed verification: %w", err)
 			}
-			return &Result{Decomposition: decomposition(colors, verify.ColorsUsed(colors), verify.MaxForestDiameter(g, colors), cost)}, nil
+			return &Result{Decomposition: decomposition(colors, verify.ColorsUsed(colors), diam, cost)}, nil
 		},
 	})
 

@@ -43,7 +43,9 @@ type LFDResult struct {
 	ColorsUsed int
 	// LeftoverEdges counts edges colored from the reserve palettes.
 	LeftoverEdges int
-	Stats         Algo2Stats
+	// Diameter is the maximum monochromatic tree diameter of the result.
+	Diameter int
+	Stats    Algo2Stats
 }
 
 // ListForestDecomposition computes a list forest decomposition using each
@@ -105,12 +107,13 @@ func listFDOnce(ctx context.Context, g *graph.Graph, opts LFDOptions, seed uint6
 		return nil, err
 	}
 	colors := a2.State.Colors()
-	if err := verify.PartialForestDecomposition(g, colors, 1<<30); err != nil {
-		return nil, fmt.Errorf("core: list augmentation phase invalid: %w", err)
-	}
-
 	res := &LFDResult{Colors: colors, LeftoverEdges: len(a2.Leftover), Stats: a2.Stats}
 	if len(a2.Leftover) > 0 {
+		// Without a leftover the final check alone covers Algorithm 2's
+		// coloring; either check failing retries upstream.
+		if err := verify.PartialForestDecomposition(g, colors, 1<<30); err != nil {
+			return nil, fmt.Errorf("core: list augmentation phase invalid: %w", err)
+		}
 		// Recolor the leftover with the reserve palettes via Theorem 2.3.
 		sub, emap := g.SubgraphOfEdges(a2.Leftover)
 		subPalettes := make([][]int32, sub.M())
@@ -139,13 +142,8 @@ func listFDOnce(ctx context.Context, g *graph.Graph, opts LFDOptions, seed uint6
 	if err := verify.RespectsPalettes(colors, opts.Palettes); err != nil {
 		return nil, fmt.Errorf("core: list decomposition violates palettes: %w", err)
 	}
-	if err := verify.PartialForestDecomposition(g, colors, 1<<30); err != nil {
+	if res.Diameter, err = verify.Forests(g, colors, 1<<30); err != nil {
 		return nil, fmt.Errorf("core: combined list decomposition invalid: %w", err)
-	}
-	for id, c := range colors {
-		if c == verify.Uncolored {
-			return nil, fmt.Errorf("core: edge %d left uncolored", id)
-		}
 	}
 	res.ColorsUsed = verify.ColorsUsed(colors)
 	return res, nil

@@ -45,6 +45,8 @@ type SFDResult struct {
 	LeftoverEdges int
 	// LLLIters is the number of resampling iterations used.
 	LLLIters int
+	// Diameter is the maximum monochromatic tree diameter of the result.
+	Diameter int
 }
 
 // StarForestDecomposition computes a (1+O(eps))*alpha star-forest
@@ -254,7 +256,7 @@ func StarForestDecomposition(ctx context.Context, g *graph.Graph, opts SFDOption
 	if mc := verify.MaxColor(colors); int(mc)+1 > res.NumColors {
 		res.NumColors = int(mc) + 1
 	}
-	if err := verify.StarForestDecomposition(g, colors, res.NumColors); err != nil {
+	if res.Diameter, err = verify.StarForests(g, colors, res.NumColors); err != nil {
 		return nil, fmt.Errorf("core: SFD output invalid: %w", err)
 	}
 	if opts.Palettes != nil {

@@ -20,6 +20,9 @@ func TestStarForestDecompositionSimpleGraph(t *testing.T) {
 	if err := verify.StarForestDecomposition(g, res.Colors, res.NumColors); err != nil {
 		t.Fatal(err)
 	}
+	if d := verify.MaxForestDiameter(g, res.Colors); res.Diameter != d {
+		t.Fatalf("Diameter = %d, the coloring's is %d", res.Diameter, d)
+	}
 	// Corollary 1.2 sanity: far fewer than 2*alpha star forests.
 	if res.NumColors > 2*9+20 {
 		t.Fatalf("used %d star forests", res.NumColors)
@@ -211,6 +214,9 @@ func TestListForestDecomposition(t *testing.T) {
 	}
 	if err := verify.PartialForestDecomposition(g, res.Colors, 1<<30); err != nil {
 		t.Fatal(err)
+	}
+	if d := verify.MaxForestDiameter(g, res.Colors); res.Diameter != d {
+		t.Fatalf("Diameter = %d, the coloring's is %d", res.Diameter, d)
 	}
 	if res.ColorsUsed == 0 {
 		t.Fatal("no colors recorded")

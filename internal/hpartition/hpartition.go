@@ -58,10 +58,6 @@ func Partition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist
 	off, arcs := g.Offsets(), g.Arcs()
 	res := &Result{T: t, Class: make([]int32, n)}
 	remDeg := make([]int32, n)
-	for v := range remDeg {
-		res.Class[v] = -1
-		remDeg[v] = off[v+1] - off[v]
-	}
 	// queue holds the removed vertices in removal order; queue[lo:] is
 	// the previous round's removals.
 	queue := make([]int32, 0, n)
@@ -69,6 +65,9 @@ func Partition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist
 	var (
 		rounds, lo int
 		stuck      bool
+		// Every removed vertex sends one notification per port in the
+		// round it is removed: the protocol's count, taken at send time.
+		msgs int64
 	)
 	for len(queue) < n {
 		if rounds >= maxRounds {
@@ -88,10 +87,16 @@ func Partition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist
 		prev := queue[lo:]
 		lo = len(queue)
 		if rounds == 0 {
-			for v, d := range remDeg {
+			// Round 0 is also the init pass: every vertex learns its
+			// degree, and those of degree <= t are removed.
+			for v := range remDeg {
+				d := off[v+1] - off[v]
+				remDeg[v] = d
 				if int(d) <= t {
-					res.Class[v] = 0
 					queue = append(queue, int32(v))
+					msgs += int64(d)
+				} else {
+					res.Class[v] = -1
 				}
 			}
 		} else {
@@ -104,6 +109,7 @@ func Partition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist
 						if remDeg[w]--; int(remDeg[w]) == t {
 							res.Class[w] = class
 							queue = append(queue, w)
+							msgs += int64(off[w+1] - off[w])
 						}
 					}
 				}
@@ -113,12 +119,6 @@ func Partition(ctx context.Context, g *graph.Graph, t, maxRounds int, cost *dist
 			obs.EngineRound(rounds)
 		}
 		rounds++
-	}
-	// Every removed vertex sent one notification per port in the round it
-	// was removed: the protocol's count, taken at send time.
-	var msgs int64
-	for _, v := range queue {
-		msgs += int64(off[v+1] - off[v])
 	}
 	// Charge before checking the error: a failed peel (e.g. a doubling
 	// probe in EstimateDegeneracy or recolorLeftover) still consumed its

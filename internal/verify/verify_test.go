@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"nwforest/internal/graph"
@@ -599,4 +600,68 @@ func TestClassWalkAllocationLinear(t *testing.T) {
 			t.Errorf("%s allocated %d bytes for n=%d, m=%d; want <= %d", name, b, g.N(), g.M(), limit)
 		}
 	}
+}
+
+// TestScratchPoolReuse runs the class checks on colorings whose graphs
+// grow and then shrink, with range errors, cyclic classes, colors of
+// 2^16 and more, and partial colorings between them, so a call often
+// takes scratch that a different kind of call left behind. The sequence
+// is first checked against the reference walk, then run from 8
+// goroutines at once, which share the pool, and every answer must equal
+// the single-threaded one, diameters of cyclic classes included: a walk
+// on clean scratch is deterministic.
+func TestScratchPoolReuse(t *testing.T) {
+	type input struct {
+		g      *graph.Graph
+		colors []int32
+		k      int
+	}
+	r := rng.New(5)
+	var inputs []input
+	for _, n := range []int{40, 400, 4000, 400, 40, 4000, 10} {
+		g, colors := randomForests(r, n, 3, 1+n/10)
+		k := int(MaxColor(colors)) + 1
+		huge := make([]int32, len(colors))
+		partial := slices.Clone(colors)
+		for id, c := range colors {
+			huge[id] = c<<16 + 5
+			if id%7 == 0 {
+				partial[id] = Uncolored
+			}
+		}
+		mg, mcolors := randomMultigraph(r, n, 2*n, 3)
+		inputs = append(inputs,
+			input{g, colors, k},
+			input{g, colors, k - 1},
+			input{mg, mcolors, 3},
+			input{g, huge, 1 << 30},
+			input{g, partial, k},
+		)
+	}
+	want := make([][]walkCall, len(inputs))
+	for i, in := range inputs {
+		want[i] = walkCalls(in.g, in.colors, in.k)
+		forests := oracleWalkClasses(in.g, in.colors).cycle == nil
+		if err := sameCalls(want[i], oracleWalkCalls(in.g, in.colors, in.k), forests); err != nil {
+			t.Fatalf("input %d (n=%d): %v", i, in.g.N(), err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				for j := range inputs {
+					i := (j + w) % len(inputs)
+					in := inputs[i]
+					if err := sameCalls(walkCalls(in.g, in.colors, in.k), want[i], true); err != nil {
+						t.Errorf("goroutine %d, input %d (n=%d): %v", w, i, in.g.N(), err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
