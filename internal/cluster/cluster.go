@@ -565,6 +565,23 @@ func (c *Cluster) FleetView() FleetStats {
 // package never imports the serving stack. Every transport-level error
 // also feeds the failure detector.
 
+// maxPeerBodyBytes bounds a cached result or graph a peer sends back:
+// the size POST /peer/graphs and PUT /peer/cache accept.
+const maxPeerBodyBytes = 256 << 20
+
+// readBounded reads a peer's reply body to the end. A body past limit
+// bytes is an error rather than a silent truncation.
+func readBounded(r io.Reader, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("cluster: peer reply exceeds %d bytes", limit)
+	}
+	return data, nil
+}
+
 // FetchCachedResult asks a peer's result cache for key. found=false
 // with nil error is a clean miss; errors are transport-level.
 func (c *Cluster) FetchCachedResult(ctx context.Context, p Peer, key string) (body []byte, found bool, err error) {
@@ -581,7 +598,7 @@ func (c *Cluster) FetchCachedResult(ctx context.Context, p Peer, key string) (bo
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		data, err := io.ReadAll(resp.Body)
+		data, err := readBounded(resp.Body, maxPeerBodyBytes)
 		if err != nil {
 			return nil, false, err
 		}
@@ -633,7 +650,7 @@ func (c *Cluster) ForwardCompute(ctx context.Context, p Peer, spec []byte) (stat
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := readBounded(resp.Body, 64<<20)
 	if err != nil {
 		return resp.StatusCode, nil, err
 	}
@@ -679,7 +696,7 @@ func (c *Cluster) FetchGraph(ctx context.Context, p Peer, id string) (data []byt
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		data, err := io.ReadAll(resp.Body)
+		data, err := readBounded(resp.Body, maxPeerBodyBytes)
 		if err != nil {
 			return nil, "", false, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -238,4 +239,20 @@ func TestHealthLoop(t *testing.T) {
 
 	ready.Store(true)
 	waitFor(func() bool { return ca.Stats().PeersAlive == 1 }, "b revived")
+}
+
+func TestReadBounded(t *testing.T) {
+	for _, tc := range []struct {
+		body    string
+		wantErr bool
+	}{{"", false}, {"abc", false}, {"abcd", false}, {"abcde", true}, {strings.Repeat("x", 1<<16), true}} {
+		data, err := readBounded(strings.NewReader(tc.body), 4)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("%d-byte body read as %q, want an error past 4 bytes", len(tc.body), data)
+			}
+		} else if err != nil || string(data) != tc.body {
+			t.Errorf("%q read as %q, %v", tc.body, data, err)
+		}
+	}
 }

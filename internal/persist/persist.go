@@ -216,7 +216,8 @@ type Recovered struct {
 	SnapshotAt time.Time
 	// MissingGraphs counts graph records whose data file was absent or
 	// unreadable (e.g. removed by a retention sweep after the record was
-	// logged); they are dropped from Graphs.
+	// logged), or whose ID is not a content address and so names no
+	// file in graphs/; they are dropped from Graphs.
 	MissingGraphs int
 }
 
@@ -306,6 +307,10 @@ func (l *Log) Recover() (*Recovered, error) {
 	l.walBytes = end
 
 	for _, m := range graphs {
+		if !validID(m.ID) { // its file name would come from outside graphs/
+			rec.MissingGraphs++
+			continue
+		}
 		data, err := os.ReadFile(l.graphPath(m.ID))
 		if err != nil {
 			rec.MissingGraphs++
@@ -332,6 +337,10 @@ type walDamage struct {
 // record. It returns the record count and, if a damaged record was
 // found, a walDamage classifying it (nil for a clean tail).
 func replayWAL(f *os.File, apply func(record)) (n int, dmg *walDamage, err error) {
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return 0, nil, fmt.Errorf("persist: %w", err)
+	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, nil, fmt.Errorf("persist: %w", err)
 	}
@@ -349,6 +358,11 @@ func replayWAL(f *os.File, apply func(record)) (n int, dmg *walDamage, err error
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
 		if size == 0 || size > maxRecordBytes {
 			return n, classifyDamage(f, off), nil // nonsense length
+		}
+		if off+8+int64(size) > end {
+			// Torn payload, found before a damaged length can make
+			// the read below allocate up to maxRecordBytes.
+			return n, classifyDamage(f, off), nil
 		}
 		if cap(payload) < int(size) {
 			payload = make([]byte, size)

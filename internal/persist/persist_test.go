@@ -2,11 +2,13 @@ package persist_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -209,6 +211,28 @@ func TestTornTailIsToleratedAtEveryOffset(t *testing.T) {
 		if len(rec3.Graphs) != rec.WALRecords+1 {
 			t.Fatalf("offset %d: %d graphs after re-recovery, want %d", off, len(rec3.Graphs), rec.WALRecords+1)
 		}
+	}
+}
+
+// TestDamagedLengthIsNotAnAllocation replays a frame header that claims
+// a payload of almost maxRecordBytes in a WAL of a few bytes: a torn
+// tail, reported without allocating the claimed size.
+func TestDamagedLengthIsNotAnAllocation(t *testing.T) {
+	dir := t.TempDir()
+	wal := binary.LittleEndian.AppendUint32(nil, 1<<30-1)
+	wal = append(wal, 0, 0, 0, 0, '{', '}')
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, rec := openRecovered(t, dir)
+	runtime.ReadMemStats(&after)
+	if !rec.WALTruncated || rec.WALBytesDiscarded != int64(len(wal)) {
+		t.Fatalf("recovery %+v, want the whole %d-byte WAL cut as a torn tail", rec, len(wal))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("recovery allocated %d bytes for a %d-byte WAL", grew, len(wal))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"sync"
 
+	"nwforest/internal/lru"
 	"nwforest/internal/persist"
 )
 
@@ -16,13 +17,10 @@ import (
 // client with one large graph and many seeds grow the daemon without
 // bound.
 type resultCache struct {
-	mu       sync.Mutex
-	entries  *lru[string, *JobResult]
-	sizes    map[string]int64
-	curBytes int64
-	maxBytes int64
+	mu      sync.Mutex
+	entries *lru.Cache[string, *JobResult]
 
-	hits, misses, evictions int64
+	hits, misses int64
 }
 
 // CacheStats are the result cache's counters, as served by /stats.
@@ -41,17 +39,7 @@ type CacheStats struct {
 const DefaultMaxCacheBytes = 256 << 20
 
 func newResultCache(capacity int, maxBytes int64) *resultCache {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxCacheBytes
-	}
-	c := &resultCache{sizes: make(map[string]int64), maxBytes: maxBytes}
-	// onEvict runs inside put/evictOldest, always under c.mu.
-	c.entries = newLRU[string, *JobResult](capacity, func(k string, _ *JobResult) {
-		c.evictions++
-		c.curBytes -= c.sizes[k]
-		delete(c.sizes, k)
-	})
-	return c
+	return &resultCache{entries: lru.New[string, *JobResult](capacity, maxBytes, nil)}
 }
 
 // approxResultBytes estimates a result's resident size: the per-edge
@@ -78,13 +66,13 @@ func approxResultBytes(r *JobResult) int64 {
 func (c *resultCache) peek(key string) (*JobResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.entries.get(key)
+	return c.entries.Get(key)
 }
 
 func (c *resultCache) get(key string) (*JobResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, ok := c.entries.get(key)
+	r, ok := c.entries.Get(key)
 	if ok {
 		c.hits++
 	} else {
@@ -94,20 +82,10 @@ func (c *resultCache) get(key string) (*JobResult, bool) {
 }
 
 func (c *resultCache) put(key string, r *JobResult) {
+	size := approxResultBytes(r)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.sizes[key]; ok { // update in place
-		c.curBytes -= old
-	}
-	c.entries.put(key, r)
-	sz := approxResultBytes(r)
-	c.sizes[key] = sz
-	c.curBytes += sz
-	// Enforce the byte budget, always keeping the newest entry even if it
-	// alone exceeds it.
-	for c.curBytes > c.maxBytes && c.entries.len() > 1 {
-		c.entries.evictOldest()
-	}
+	c.entries.Put(key, r, size)
 }
 
 // export serializes the cache's entries oldest-first for a snapshot.
@@ -117,14 +95,12 @@ func (c *resultCache) put(key string, r *JobResult) {
 func (c *resultCache) export() []persist.ResultRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]persist.ResultRecord, 0, c.entries.len())
-	c.entries.each(func(key string, r *JobResult) {
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return
+	out := make([]persist.ResultRecord, 0, c.entries.Len())
+	for key, r := range c.entries.OldestFirst() {
+		if raw, err := json.Marshal(r); err == nil {
+			out = append(out, persist.ResultRecord{Key: key, Value: raw})
 		}
-		out = append(out, persist.ResultRecord{Key: key, Value: raw})
-	})
+	}
 	return out
 }
 
@@ -132,12 +108,12 @@ func (c *resultCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Size:      c.entries.len(),
-		Capacity:  c.entries.capacity,
-		Bytes:     c.curBytes,
-		MaxBytes:  c.maxBytes,
+		Size:      c.entries.Len(),
+		Capacity:  c.entries.MaxEntries(),
+		Bytes:     c.entries.Bytes(),
+		MaxBytes:  c.entries.MaxBytes(),
 		Hits:      c.hits,
 		Misses:    c.misses,
-		Evictions: c.evictions,
+		Evictions: c.entries.Evicted(),
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nwforest/internal/dist"
+	"nwforest/internal/lru"
 )
 
 // JobRecord is one terminal job in the queryable history
@@ -53,22 +54,16 @@ type HistoryStats struct {
 	Evicted  int64 `json:"evicted"`
 }
 
-// jobHistory is a bounded FIFO of terminal JobRecords. Append order is
-// eviction order; both an entry count and an approximate byte budget
-// bound it.
+// jobHistory is a bounded FIFO of terminal JobRecords keyed by job ID.
+// Append order is eviction order; both an entry count and an
+// approximate byte budget bound it.
 type jobHistory struct {
-	mu       sync.Mutex
-	recs     []JobRecord
-	bytes    []int64
-	curBytes int64
-	capacity int
-	maxBytes int64
-
-	added, evicted int64
+	mu   sync.Mutex
+	recs *lru.Cache[string, JobRecord]
 }
 
 func newJobHistory(capacity int, maxBytes int64) *jobHistory {
-	return &jobHistory{capacity: capacity, maxBytes: maxBytes}
+	return &jobHistory{recs: lru.New[string, JobRecord](capacity, maxBytes, nil)}
 }
 
 // approxRecordBytes estimates a record's resident size; the phase slice
@@ -84,16 +79,7 @@ func (h *jobHistory) add(r JobRecord) {
 	b := approxRecordBytes(r)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.recs = append(h.recs, r)
-	h.bytes = append(h.bytes, b)
-	h.curBytes += b
-	h.added++
-	for len(h.recs) > 1 && (len(h.recs) > h.capacity || h.curBytes > h.maxBytes) {
-		h.curBytes -= h.bytes[0]
-		h.recs = h.recs[1:]
-		h.bytes = h.bytes[1:]
-		h.evicted++
-	}
+	h.recs.Put(r.ID, r, b)
 }
 
 // historyFilter selects records for GET /jobs/history; zero values
@@ -109,13 +95,12 @@ type historyFilter struct {
 func (h *jobHistory) list(f historyFilter) []JobRecord {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	capHint := len(h.recs)
+	capHint := h.recs.Len()
 	if f.limit > 0 && f.limit < capHint {
 		capHint = f.limit
 	}
 	out := make([]JobRecord, 0, capHint)
-	for i := len(h.recs) - 1; i >= 0; i-- {
-		r := h.recs[i]
+	for _, r := range h.recs.NewestFirst() {
 		if f.state != "" && r.State != f.state {
 			continue
 		}
@@ -134,11 +119,11 @@ func (h *jobHistory) stats() HistoryStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return HistoryStats{
-		Entries:  len(h.recs),
-		Bytes:    h.curBytes,
-		Capacity: h.capacity,
-		MaxBytes: h.maxBytes,
-		Added:    h.added,
-		Evicted:  h.evicted,
+		Entries:  h.recs.Len(),
+		Bytes:    h.recs.Bytes(),
+		Capacity: h.recs.MaxEntries(),
+		MaxBytes: h.recs.MaxBytes(),
+		Added:    h.recs.Added(),
+		Evicted:  h.recs.Evicted(),
 	}
 }

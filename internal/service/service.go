@@ -37,6 +37,7 @@ import (
 	"nwforest/internal/dist"
 	"nwforest/internal/dynamic"
 	"nwforest/internal/graph"
+	"nwforest/internal/lru"
 	"nwforest/internal/persist"
 	"nwforest/internal/telemetry"
 	"nwforest/internal/trace"
@@ -148,6 +149,9 @@ func (c Config) withDefaults() Config {
 	if c.ResultCapacity <= 0 {
 		c.ResultCapacity = 1024
 	}
+	if c.ResultCacheBytes <= 0 {
+		c.ResultCacheBytes = DefaultMaxCacheBytes
+	}
 	if c.SnapshotInterval == 0 {
 		c.SnapshotInterval = 5 * time.Minute
 	}
@@ -238,15 +242,17 @@ type Service struct {
 	snapStop chan struct{} // stops the periodic snapshot loop
 	snapDone chan struct{} // closed when the loop has exited
 
-	mu            sync.Mutex
-	closed        bool
-	nextID        int64
-	jobs          map[string]*Job
-	inflight      map[string]*Job // CacheKey -> running/queued leader job
-	followers     int             // live follower jobs, capped at QueueDepth
-	finished      []finishedRec   // finish order, for retention pruning
-	retainedBytes int64
-	dedups        int64
+	mu        sync.Mutex
+	closed    bool
+	nextID    int64
+	jobs      map[string]*Job
+	inflight  map[string]*Job // CacheKey -> running/queued leader job
+	followers int             // live follower jobs, capped at QueueDepth
+	// retained holds the IDs of the terminal jobs still in jobs, in
+	// finish order, sized by the result memory each pins; evicting one
+	// forgets the job.
+	retained *lru.Cache[string, struct{}]
+	dedups   int64
 
 	// anytimeJobs counts accepted anytime-mode submissions;
 	// anytimePartials counts deadline-interrupted jobs that served a
@@ -286,6 +292,8 @@ func Open(cfg Config) (*Service, error) {
 		inflight: make(map[string]*Job),
 		history:  newJobHistory(cfg.HistoryCapacity, historyMaxBytes),
 	}
+	// The hook runs inside pruneFinished's Put, under s.mu.
+	s.retained = lru.New(retainJobs, cfg.ResultCacheBytes, func(id string, _ struct{}) { delete(s.jobs, id) })
 	if !cfg.DisableTracing {
 		s.traces = trace.NewRing(traceCapacity, traceMaxBytes)
 	}
@@ -850,12 +858,6 @@ func (s *Service) observeJobDuration(algorithm string, d time.Duration) {
 	}
 }
 
-// finishedRec tracks one retained finished job for retention accounting.
-type finishedRec struct {
-	id    string
-	bytes int64
-}
-
 // pruneFinished records that j reached a terminal state: it releases j's
 // in-flight dedup slot and forgets the oldest finished jobs beyond the
 // retention budgets (retainJobs entries; result bytes bounded by the
@@ -892,10 +894,6 @@ func (s *Service) pruneFinished(j *Job) {
 	if !snap.Cached {
 		bytes = approxResultBytes(snap.Result)
 	}
-	maxBytes := s.cfg.ResultCacheBytes
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxCacheBytes
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.inflight[j.spec.inflightKey()] == j {
@@ -904,15 +902,7 @@ func (s *Service) pruneFinished(j *Job) {
 	if j.follower {
 		s.followers--
 	}
-	s.finished = append(s.finished, finishedRec{id: j.id, bytes: bytes})
-	s.retainedBytes += bytes
-	for len(s.finished) > 1 &&
-		(len(s.finished) > retainJobs || s.retainedBytes > maxBytes) {
-		oldest := s.finished[0]
-		s.finished = s.finished[1:]
-		s.retainedBytes -= oldest.bytes
-		delete(s.jobs, oldest.id)
-	}
+	s.retained.Put(j.id, struct{}{}, bytes)
 }
 
 // resultPhases extracts the round count and per-phase cost breakdown
@@ -1204,7 +1194,7 @@ func (s *Service) Stats() Stats {
 	for _, j := range s.jobs {
 		byState[string(j.State())]++
 	}
-	dedups, retained := s.dedups, s.retainedBytes
+	dedups, retained := s.dedups, s.retained.Bytes()
 	s.mu.Unlock()
 	st := Stats{
 		Workers:             s.cfg.Workers,

@@ -16,7 +16,7 @@ import (
 	"nwforest/internal/graph"
 )
 
-func encode(t *testing.T, g *graph.Graph) []byte {
+func encode(t testing.TB, g *graph.Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := graph.Encode(&buf, g); err != nil {
@@ -118,6 +118,26 @@ func TestStoreUploadRetentionBudget(t *testing.T) {
 	}
 }
 
+// TestStoreUploadEvictionDropsWarmGraph checks that forgetting an
+// upload also drops its parsed graph, so the warm set and its byte
+// count hold only graphs the store can still serve.
+func TestStoreUploadEvictionDropsWarmGraph(t *testing.T) {
+	a := encode(t, gen.ForestUnion(30, 2, 1))
+	b := gen.ForestUnion(30, 3, 1)
+	st := NewStore(4, int64(len(a))) // room for a alone: adding b evicts it
+	if _, err := st.AddBytes(a, graph.FormatAuto); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AddBytes(encode(t, b), graph.FormatAuto); err != nil {
+		t.Fatal(err)
+	}
+	stats := st.Stats()
+	if stats.SourceEvictions != 1 || stats.Warm != 1 || stats.WarmBytes != b.Footprint() || stats.Evictions != 0 {
+		t.Fatalf("sourceEvictions=%d warm=%d warmBytes=%d evictions=%d, want 1, 1, %d and 0",
+			stats.SourceEvictions, stats.Warm, stats.WarmBytes, stats.Evictions, b.Footprint())
+	}
+}
+
 func TestStoreFileBacked(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.txt")
@@ -216,7 +236,7 @@ func TestMutateChildMatchesSource(t *testing.T) {
 	}
 }
 
-func newTestService(t *testing.T, cfg Config) *Service {
+func newTestService(t testing.TB, cfg Config) *Service {
 	t.Helper()
 	svc, err := Open(cfg)
 	if err != nil {
@@ -232,7 +252,7 @@ func newTestService(t *testing.T, cfg Config) *Service {
 	return svc
 }
 
-func addGraph(t *testing.T, svc *Service, g *graph.Graph) string {
+func addGraph(t testing.TB, svc *Service, g *graph.Graph) string {
 	t.Helper()
 	info, err := svc.Store().AddBytes(encode(t, g), graph.FormatAuto)
 	if err != nil {
@@ -241,7 +261,7 @@ func addGraph(t *testing.T, svc *Service, g *graph.Graph) string {
 	return info.ID
 }
 
-func waitDone(t *testing.T, svc *Service, j *Job) JobSnapshot {
+func waitDone(t testing.TB, svc *Service, j *Job) JobSnapshot {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -670,6 +690,126 @@ func TestResultCacheByteBudget(t *testing.T) {
 	c.put("huge", big(10000))
 	if _, ok := c.get("huge"); !ok {
 		t.Fatal("sole over-budget entry not retained")
+	}
+}
+
+// TestFinishedJobRetention bounds the terminal jobs that stay pollable:
+// past retainJobs entries or the result-cache byte budget the oldest
+// terminal job is forgotten, while the newest and every queued or
+// running job stay, and RetainedResultBytes is what the retained jobs
+// pin (a cache hit 256 bytes, a computed job its result's size).
+func TestFinishedJobRetention(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		maxBytes int64
+		hits     int // cache-hit jobs submitted after the computed one
+		keep     int // how many of them stay
+	}{
+		{"entry bound", 0, retainJobs + 5, retainJobs},
+		// The computed job's 536 bytes alone exceed this budget.
+		{"byte bound", 2 * 256, 10, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := newTestService(t, Config{Workers: 1, ResultCacheBytes: tc.maxBytes})
+			svc.execHook = func(ctx context.Context, g *graph.Graph, spec JobSpec) (*JobResult, error) {
+				if spec.Options.Seed == 1 {
+					return runSpec(ctx, g, spec)
+				}
+				return blockUntilCanceled(ctx, g, spec)
+			}
+			id := addGraph(t, svc, gen.ForestUnion(20, 2, 1))
+			submit := func(seed uint64) *Job {
+				t.Helper()
+				j, err := svc.Submit(JobSpec{GraphID: id, Algorithm: "decompose",
+					Options: nwforest.Options{Alpha: 2, Eps: 0.5, Seed: seed}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return j
+			}
+			checkBytes := func() {
+				t.Helper()
+				var want int64
+				for _, snap := range svc.Jobs() {
+					switch {
+					case !snap.State.terminal():
+					case snap.Cached:
+						want += 256
+					default:
+						want += approxResultBytes(snap.Result)
+					}
+				}
+				if got := svc.Stats().RetainedResultBytes; got != want {
+					t.Fatalf("RetainedResultBytes = %d, retained terminal jobs pin %d", got, want)
+				}
+			}
+			computed := submit(1)
+			if snap := waitDone(t, svc, computed); snap.State != JobDone || snap.Cached {
+				t.Fatalf("first job %s cached=%v, want computed", snap.State, snap.Cached)
+			}
+			if _, ok := svc.Get(computed.ID()); !ok {
+				t.Fatalf("newest terminal job %s forgotten", computed.ID())
+			}
+			checkBytes()
+			running := submit(2)
+			waitForState(t, svc, running.ID(), JobRunning)
+			queued := submit(3)
+			hits := make([]*Job, tc.hits)
+			for i := range hits {
+				if hits[i] = submit(1); hits[i].State() != JobDone {
+					t.Fatalf("hit %d is %s, want done on submit", i, hits[i].State())
+				}
+			}
+			checkBytes()
+			if got := svc.Stats().RetainedResultBytes; got != int64(tc.keep)*256 {
+				t.Fatalf("RetainedResultBytes = %d, want %d hits of 256", got, tc.keep*256)
+			}
+			forgotten := append([]*Job{computed}, hits[:tc.hits-tc.keep]...)
+			for _, j := range forgotten {
+				if _, ok := svc.Get(j.ID()); ok {
+					t.Fatalf("job %s still pollable past the bound", j.ID())
+				}
+			}
+			for _, j := range append([]*Job{running, queued}, hits[tc.hits-tc.keep:]...) {
+				if _, ok := svc.Get(j.ID()); !ok {
+					t.Fatalf("job %s (%s) forgotten", j.ID(), j.State())
+				}
+			}
+			svc.Cancel(running.ID())
+			waitDone(t, svc, running)
+			svc.Cancel(queued.ID())
+			waitDone(t, svc, queued)
+			checkBytes()
+			if _, ok := svc.Get(queued.ID()); !ok {
+				t.Fatalf("newest terminal job %s forgotten", queued.ID())
+			}
+		})
+	}
+}
+
+// BenchmarkCacheHitSubmit submits an already-cached spec and waits for
+// the job: the path most served requests take (register, finish, then
+// settle into the trace ring, the history and retention).
+func BenchmarkCacheHitSubmit(b *testing.B) {
+	svc := newTestService(b, Config{Workers: 1})
+	id := addGraph(b, svc, gen.ForestUnion(100, 2, 5))
+	spec := JobSpec{GraphID: id, Algorithm: "decompose",
+		Options: nwforest.Options{Alpha: 2, Eps: 0.5, Seed: 1}}
+	j, err := svc.Submit(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if snap := waitDone(b, svc, j); snap.State != JobDone {
+		b.Fatalf("warm-up job %s: %s", snap.State, snap.Error)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j, err := svc.Submit(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-j.Done()
 	}
 }
 

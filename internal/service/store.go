@@ -8,12 +8,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"sync"
 
 	"nwforest/internal/dynamic"
 	"nwforest/internal/graph"
+	"nwforest/internal/lru"
 	"nwforest/internal/persist"
 )
 
@@ -34,20 +36,20 @@ import (
 // same thing — equal results collapse to one entry, and a stale result
 // cache entry for an old version can never be served for a new one.
 type Store struct {
-	mu             sync.Mutex
-	sources        map[string]*graphSource
-	warm           *lru[string, *graph.Graph]
-	uploadOrder    []string // upload-backed IDs, oldest first
-	uploadBytes    int64
-	maxSourceBytes int64
-	warmBytes      int64 // Footprint sum of the warm parsed graphs
+	mu      sync.Mutex
+	sources map[string]*graphSource
+	// warm holds the parsed graphs, sized by graph.Footprint. uploads
+	// holds the upload-backed sources in ingest order, sized by their raw
+	// bytes; evicting one forgets its graph entirely.
+	warm    *lru.Cache[string, *graph.Graph]
+	uploads *lru.Cache[string, *graphSource]
 
 	// persistLog, when set, makes every successful add write-through to
 	// disk before it is acknowledged. Recovery replays call add before
 	// attachPersist so recovered graphs are not re-persisted.
 	persistLog *persist.Log
 
-	hits, misses, evictions, reparses, sourceEvictions, mutations int64
+	hits, misses, reparses, mutations int64
 }
 
 // attachPersist turns on write-through durability for subsequent adds.
@@ -55,17 +57,6 @@ func (s *Store) attachPersist(l *persist.Log) {
 	s.mu.Lock()
 	s.persistLog = l
 	s.mu.Unlock()
-}
-
-// warmPut warms a parsed graph, keeping warmBytes in sync. Must be
-// called with s.mu held. A re-put of an already-warm ID only refreshes
-// recency: the footprint is identical for the same content hash.
-func (s *Store) warmPut(id string, g *graph.Graph) {
-	if _, ok := s.warm.get(id); ok {
-		return
-	}
-	s.warm.put(id, g)
-	s.warmBytes += g.Footprint()
 }
 
 // graphSource is where a stored graph's bytes live.
@@ -155,10 +146,12 @@ func NewStore(capacity int, maxSourceBytes int64) *Store {
 	if maxSourceBytes <= 0 {
 		maxSourceBytes = DefaultMaxSourceBytes
 	}
-	s := &Store{sources: make(map[string]*graphSource), maxSourceBytes: maxSourceBytes}
-	s.warm = newLRU[string, *graph.Graph](capacity, func(_ string, g *graph.Graph) {
-		s.evictions++
-		s.warmBytes -= g.Footprint()
+	s := &Store{sources: make(map[string]*graphSource)}
+	s.warm = lru.New[string, *graph.Graph](capacity, 0, nil)
+	// The hook runs inside add's Put, under s.mu.
+	s.uploads = lru.New(math.MaxInt, maxSourceBytes, func(id string, _ *graphSource) {
+		delete(s.sources, id)
+		s.warm.Remove(id)
 	})
 	return s
 }
@@ -283,28 +276,11 @@ func (s *Store) add(data []byte, f graph.Format, g *graph.Graph, path, parent st
 		return info, s.ensurePersisted(pl, existing, data)
 	}
 	s.sources[id] = src
-	s.warmPut(id, g)
+	s.warm.Put(id, g, g.Footprint())
 	if path == "" {
-		s.uploadOrder = append(s.uploadOrder, id)
-		s.uploadBytes += int64(len(data))
 		// Stay within the retention budget by forgetting the oldest
-		// uploads — but never the one just added, even if it alone
-		// exceeds the budget.
-		for s.uploadBytes > s.maxSourceBytes && len(s.uploadOrder) > 1 {
-			oldest := s.uploadOrder[0]
-			s.uploadOrder = s.uploadOrder[1:]
-			old, ok := s.sources[oldest]
-			if !ok {
-				continue
-			}
-			s.uploadBytes -= int64(len(old.data))
-			delete(s.sources, oldest)
-			if g, ok := s.warm.get(oldest); ok {
-				s.warmBytes -= g.Footprint()
-			}
-			s.warm.remove(oldest)
-			s.sourceEvictions++
-		}
+		// uploads, never the one just added.
+		s.uploads.Put(id, src, int64(len(data)))
 	}
 	pl := s.persistLog
 	s.mu.Unlock()
@@ -399,10 +375,8 @@ func (s *Store) exportPersist() []persist.GraphMeta {
 			out = append(out, meta)
 		}
 	}
-	for _, id := range s.uploadOrder {
-		if src, ok := s.sources[id]; ok {
-			addMeta(src)
-		}
+	for _, src := range s.uploads.OldestFirst() {
+		addMeta(src)
 	}
 	var fileIDs []string
 	for id, src := range s.sources {
@@ -449,7 +423,7 @@ func (s *Store) Get(id string) (*graph.Graph, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w %q", ErrUnknownGraph, id)
 	}
-	if g, ok := s.warm.get(id); ok {
+	if g, ok := s.warm.Get(id); ok {
 		s.hits++
 		s.mu.Unlock()
 		return g, nil
@@ -480,7 +454,7 @@ func (s *Store) Get(id string) (*graph.Graph, error) {
 	// may have dropped this graph, and warming an unreachable entry would
 	// pin it in the LRU. The caller still gets g either way.
 	if _, still := s.sources[id]; still {
-		s.warmPut(id, g)
+		s.warm.Put(id, g, g.Footprint())
 	}
 	s.mu.Unlock()
 	return g, nil
@@ -531,15 +505,15 @@ func (s *Store) Stats() StoreStats {
 	defer s.mu.Unlock()
 	return StoreStats{
 		Graphs:          len(s.sources),
-		Warm:            s.warm.len(),
-		WarmCapacity:    s.warm.capacity,
+		Warm:            s.warm.Len(),
+		WarmCapacity:    s.warm.MaxEntries(),
 		Hits:            s.hits,
 		Misses:          s.misses,
-		Evictions:       s.evictions,
+		Evictions:       s.warm.Evicted(),
 		Reparses:        s.reparses,
-		RetainedBytes:   s.uploadBytes,
-		SourceEvictions: s.sourceEvictions,
-		WarmBytes:       s.warmBytes,
+		RetainedBytes:   s.uploads.Bytes(),
+		SourceEvictions: s.uploads.Evicted(),
+		WarmBytes:       s.warm.Bytes(),
 		Mutations:       s.mutations,
 	}
 }

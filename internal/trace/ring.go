@@ -3,6 +3,8 @@ package trace
 import (
 	"sort"
 	"sync"
+
+	"nwforest/internal/lru"
 )
 
 // Ring keeps finished traces pollable after their jobs have been
@@ -13,20 +15,9 @@ import (
 // back the /metrics per-phase series; totals are monotone — eviction
 // never subtracts.
 type Ring struct {
-	mu       sync.Mutex
-	byID     map[string]*Recorder
-	order    []ringEntry
-	curBytes int64
-	capacity int
-	maxBytes int64
-
-	added, evicted int64
-	totals         map[string]*PhaseTotal
-}
-
-type ringEntry struct {
-	id    string
-	bytes int64
+	mu     sync.Mutex
+	traces *lru.Cache[string, *Recorder]
+	totals map[string]*PhaseTotal
 }
 
 // PhaseTotal is the cumulative per-phase accounting across every trace
@@ -57,10 +48,8 @@ type RingStats struct {
 // approximate bytes (both must be positive; Put enforces them).
 func NewRing(capacity int, maxBytes int64) *Ring {
 	return &Ring{
-		byID:     make(map[string]*Recorder),
-		capacity: capacity,
-		maxBytes: maxBytes,
-		totals:   make(map[string]*PhaseTotal),
+		traces: lru.New[string, *Recorder](capacity, maxBytes, nil),
+		totals: make(map[string]*PhaseTotal),
 	}
 }
 
@@ -89,26 +78,7 @@ func (g *Ring) Put(rec *Recorder) {
 		t.Messages += p.Messages
 		t.Bits += p.Bits
 	}
-	if _, dup := g.byID[rec.ID()]; dup {
-		for i, e := range g.order {
-			if e.id == rec.ID() {
-				g.curBytes -= e.bytes
-				g.order = append(g.order[:i], g.order[i+1:]...)
-				break
-			}
-		}
-	}
-	g.byID[rec.ID()] = rec
-	g.order = append(g.order, ringEntry{id: rec.ID(), bytes: bytes})
-	g.curBytes += bytes
-	g.added++
-	for len(g.order) > 1 && (len(g.order) > g.capacity || g.curBytes > g.maxBytes) {
-		oldest := g.order[0]
-		g.order = g.order[1:]
-		g.curBytes -= oldest.bytes
-		delete(g.byID, oldest.id)
-		g.evicted++
-	}
+	g.traces.Put(rec.ID(), rec, bytes)
 }
 
 // Get returns the retained trace for a job ID.
@@ -118,8 +88,7 @@ func (g *Ring) Get(id string) (*Recorder, bool) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	rec, ok := g.byID[id]
-	return rec, ok
+	return g.traces.Peek(id)
 }
 
 // PhaseTotals returns the cumulative per-phase totals, sorted by phase
@@ -146,12 +115,12 @@ func (g *Ring) Stats() RingStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return RingStats{
-		Entries:   len(g.order),
-		Bytes:     g.curBytes,
-		Capacity:  g.capacity,
-		MaxBytes:  g.maxBytes,
-		Added:     g.added,
-		Evicted:   g.evicted,
+		Entries:   g.traces.Len(),
+		Bytes:     g.traces.Bytes(),
+		Capacity:  g.traces.MaxEntries(),
+		MaxBytes:  g.traces.MaxBytes(),
+		Added:     g.traces.Added(),
+		Evicted:   g.traces.Evicted(),
 		RoundsCap: maxRoundEvents,
 	}
 }

@@ -41,6 +41,24 @@ func TestRingEvictsByCount(t *testing.T) {
 	}
 }
 
+// TestRingGetKeepsInsertionOrder checks that reading a trace does not
+// refresh it: the ring evicts in insertion order.
+func TestRingGetKeepsInsertionOrder(t *testing.T) {
+	g := NewRing(2, 1<<30)
+	g.Put(finishedRecorder("j-1", 1))
+	g.Put(finishedRecorder("j-2", 1))
+	if _, ok := g.Get("j-1"); !ok {
+		t.Fatal("j-1 not retained")
+	}
+	g.Put(finishedRecorder("j-3", 1))
+	if _, ok := g.Get("j-1"); ok {
+		t.Fatal("reading j-1 kept it past a newer trace")
+	}
+	if _, ok := g.Get("j-2"); !ok {
+		t.Fatal("j-2 evicted before the older j-1")
+	}
+}
+
 func TestRingEvictsByBytes(t *testing.T) {
 	one := finishedRecorder("j-1", 1)
 	g := NewRing(1000, one.Bytes()+1) // room for one trace, never two

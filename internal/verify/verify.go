@@ -94,9 +94,13 @@ func PseudoForestDecomposition(g *graph.Graph, colors []int32, k int) error {
 
 // MaxForestDiameter returns the maximum strong diameter over all
 // monochromatic trees (the paper's diameter of the decomposition).
-// Uncolored edges are ignored. Returns 0 if no edges are colored. The
+// Uncolored edges are ignored. Returns 0 if no edges are colored, and
+// -1 (undefined) when colors has more entries than g has edges. The
 // value is unspecified when a color class has a cycle.
 func MaxForestDiameter(g *graph.Graph, colors []int32) int {
+	if len(colors) > g.M() {
+		return -1
+	}
 	return walkClasses(g, colors, MaxColor(colors), false).diameter
 }
 

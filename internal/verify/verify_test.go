@@ -81,6 +81,9 @@ func TestMaxForestDiameter(t *testing.T) {
 	if d := MaxForestDiameter(g, []int32{Uncolored, Uncolored, Uncolored, Uncolored}); d != 0 {
 		t.Fatalf("diameter = %d, want 0", d)
 	}
+	if d := MaxForestDiameter(g, []int32{0, 0, 0, 0, 0}); d != -1 {
+		t.Fatalf("diameter of a coloring longer than the graph = %d, want -1", d)
+	}
 }
 
 func TestMaxForestDiameterTwoComponents(t *testing.T) {

@@ -209,7 +209,8 @@ func VerifyStars(g *Graph, colors []int32, numForests int) error {
 }
 
 // Diameter returns the maximum monochromatic tree diameter of a
-// decomposition.
+// decomposition, or -1 (undefined) when colors has more entries than g
+// has edges.
 func Diameter(g *Graph, colors []int32) int {
 	return verify.MaxForestDiameter(g, colors)
 }

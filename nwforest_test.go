@@ -181,4 +181,7 @@ func TestDiameterHelper(t *testing.T) {
 	if d := nwforest.Diameter(g, []int32{0, 0}); d != 2 {
 		t.Fatalf("Diameter = %d, want 2", d)
 	}
+	if d := nwforest.Diameter(g, []int32{0, 0, 0}); d != -1 {
+		t.Fatalf("Diameter of a coloring longer than the graph = %d, want -1", d)
+	}
 }
