@@ -7,6 +7,7 @@ import (
 
 	"nwforest/internal/gen"
 	"nwforest/internal/graph"
+	"nwforest/internal/rng"
 )
 
 // renderings returns g as text in the three formats.
@@ -68,6 +69,21 @@ func TestDecodeAllocs(t *testing.T) {
 	if a, b := encode(small), encode(large); a != b {
 		t.Errorf("Encode: %v allocations at m=%d, %v at m=%d", a, small.M(), b, large.M())
 	}
+	// Into a fresh bytes.Buffer, as Store.Mutate encodes: the Buffer
+	// itself, one growth to the encoding's bound and the chunk buffer
+	// (3 without the race detector), and no growth while the lines go
+	// in.
+	encodeBuffer := func(g *graph.Graph) float64 {
+		return testing.AllocsPerRun(5, func() {
+			var buf bytes.Buffer
+			if err := graph.Encode(&buf, g); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := encodeBuffer(small), encodeBuffer(large); a != b {
+		t.Errorf("Encode into a bytes.Buffer: %v allocations at m=%d, %v at m=%d", a, small.M(), b, large.M())
+	}
 }
 
 // beRoad is be-road's graph: the 192x192 road network of perfbench (in
@@ -102,6 +118,35 @@ func BenchmarkEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := graph.Encode(io.Discard, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeBuffer encodes into a fresh bytes.Buffer, as
+// Store.Mutate and perfbench's set-up do.
+func BenchmarkEncodeBuffer(b *testing.B) {
+	g := beRoad()
+	b.SetBytes(int64(len(renderings(b, g)["plain"])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var buf bytes.Buffer
+		if err := graph.Encode(&buf, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNew builds the CSR of be-road's edges, shuffled as
+// perfbench's seed 1 shuffles them.
+func BenchmarkNew(b *testing.B) {
+	edges := append([]graph.Edge(nil), beRoad().Edges()...)
+	rng.New(1).Split(1).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.New(192*192, edges); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package graph_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nwforest/internal/graph"
@@ -22,11 +23,45 @@ func refAdjacency(n int, edges []graph.Edge) [][]graph.Arc {
 	return adj
 }
 
+// checkAgainstReference builds the graph through New and through the
+// decoders' constructor, which must keep a slice whose capacity equals
+// its length and copy any other, and holds both CSRs to the reference.
+// New must copy its input: scribbling over edges afterwards must not
+// reach the graph.
 func checkAgainstReference(t *testing.T, n int, edges []graph.Edge) {
 	t.Helper()
 	g, err := graph.New(n, edges)
 	if err != nil {
 		t.Fatalf("New(%d, %v): %v", n, edges, err)
+	}
+	want := slices.Clone(edges)
+	for i, e := range edges {
+		edges[i] = graph.E(e.V, e.U)
+	}
+	checkCSR(t, g, n, want)
+	copy(edges, want)
+	for _, spare := range []int{0, 3} {
+		own := make([]graph.Edge, len(edges), len(edges)+spare)
+		copy(own, edges)
+		g, err := graph.NewOwned(n, own)
+		if err != nil {
+			t.Fatalf("NewOwned(%d, %v): %v", n, edges, err)
+		}
+		if cap(g.Edges()) != len(edges) {
+			t.Fatalf("NewOwned with %d spare capacity kept cap %d for %d edges", spare, cap(g.Edges()), len(edges))
+		}
+		if spare == 0 && len(own) > 0 && &g.Edges()[0] != &own[0] {
+			t.Fatal("NewOwned copied a slice with no spare capacity")
+		}
+		checkCSR(t, g, n, edges)
+	}
+}
+
+// checkCSR compares g's CSR with the reference layout of (n, edges).
+func checkCSR(t *testing.T, g *graph.Graph, n int, edges []graph.Edge) {
+	t.Helper()
+	if !slices.Equal(g.Edges(), edges) {
+		t.Fatalf("graph holds edges %v, want %v", g.Edges(), edges)
 	}
 	ref := refAdjacency(n, edges)
 	off := g.Offsets()
@@ -141,8 +176,9 @@ func TestCSRMatchesReferenceOnRandomMultigraphs(t *testing.T) {
 }
 
 // FuzzCSRAdjacency fuzzes graph construction: arbitrary bytes decode
-// into an (n, edge list) pair, and the CSR adjacency must match the
-// reference layout for every decodable input.
+// into an (n, edge list) pair, and the CSR adjacency, built through New
+// and through the decoders' constructor, must match the reference layout
+// for every decodable input.
 func FuzzCSRAdjacency(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 2, 0, 1, 2, 3})
 	f.Add([]byte{2, 0, 1, 0, 1, 0, 1})

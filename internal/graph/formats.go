@@ -235,7 +235,7 @@ func DecodeDIMACS(r io.Reader) (*Graph, error) {
 	if len(edges) != m {
 		return nil, fmt.Errorf("dimacs: problem line declares %d edges, file has %d", m, len(edges))
 	}
-	return New(n, edges)
+	return newOwned(n, edges)
 }
 
 // DecodeMETIS reads a graph in the METIS/Chaco adjacency format: a header
@@ -359,5 +359,5 @@ func DecodeMETIS(r io.Reader) (*Graph, error) {
 	if len(edges) != m || entries != 2*m {
 		return nil, fmt.Errorf("metis: header declares %d edges, adjacency lists hold %d mentions and %d distinct edges (file asymmetric or truncated?)", m, entries, len(edges))
 	}
-	return New(n, edges)
+	return newOwned(n, edges)
 }

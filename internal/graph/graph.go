@@ -58,40 +58,56 @@ var ErrSelfLoop = errors.New("graph: self-loops are not allowed")
 
 // New builds a graph on n vertices from the given edge list. The edge IDs
 // are the indices into edges. It returns an error if any edge mentions a
-// vertex outside [0, n) or is a self-loop.
+// vertex outside [0, n) or is a self-loop. The graph keeps a copy of
+// edges, so the caller may reuse the slice.
 func New(n int, edges []Edge) (*Graph, error) {
-	g := &Graph{
-		n:       n,
-		edges:   make([]Edge, len(edges)),
-		arcs:    make([]Arc, 2*len(edges)),
-		offsets: make([]int32, n+1),
+	own := make([]Edge, len(edges))
+	copy(own, edges)
+	return build(n, own)
+}
+
+// newOwned is New for a decoder's freshly built edge slice: the graph
+// keeps edges itself when its capacity equals its length, and a copy
+// otherwise, so that no spare capacity hides from Footprint. The caller
+// must not use edges afterwards.
+func newOwned(n int, edges []Edge) (*Graph, error) {
+	if cap(edges) != len(edges) {
+		return New(n, edges)
 	}
-	copy(g.edges, edges)
-	for _, e := range g.edges {
+	return build(n, edges)
+}
+
+// build checks edges and fills the CSR around them in one counting
+// sort: degrees are counted into offsets[v], prefix-summed in place to
+// the end of each vertex's range, and the arcs placed in reverse
+// edge-ID order at --offsets[v], which leaves offsets[v] at the start of
+// v's range and each range in edge-ID order, the append order of the
+// old slice-of-slices layout, so port numbering is unchanged.
+func build(n int, edges []Edge) (*Graph, error) {
+	offsets := make([]int32, n+1)
+	for _, e := range edges {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge %v out of range for n=%d", e, n)
 		}
 		if e.U == e.V {
 			return nil, ErrSelfLoop
 		}
-		g.offsets[e.U+1]++
-		g.offsets[e.V+1]++
+		offsets[e.U]++
+		offsets[e.V]++
 	}
-	for v := 0; v < n; v++ {
-		g.offsets[v+1] += g.offsets[v]
+	for v := 1; v < n; v++ {
+		offsets[v] += offsets[v-1]
 	}
-	// Counting-sort fill: cursor[v] is the next free slot of v. Iterating
-	// edges in ID order reproduces the append order of the old
-	// slice-of-slices layout, so port numbering is unchanged.
-	cursor := make([]int32, n)
-	copy(cursor, g.offsets[:n])
-	for id, e := range g.edges {
-		g.arcs[cursor[e.U]] = Arc{Edge: int32(id), To: e.V}
-		cursor[e.U]++
-		g.arcs[cursor[e.V]] = Arc{Edge: int32(id), To: e.U}
-		cursor[e.V]++
+	offsets[n] = int32(2 * len(edges))
+	arcs := make([]Arc, 2*len(edges))
+	for id := len(edges) - 1; id >= 0; id-- {
+		e := edges[id]
+		offsets[e.U]--
+		arcs[offsets[e.U]] = Arc{Edge: int32(id), To: e.V}
+		offsets[e.V]--
+		arcs[offsets[e.V]] = Arc{Edge: int32(id), To: e.U}
 	}
-	return g, nil
+	return &Graph{n: n, edges: edges, arcs: arcs, offsets: offsets}, nil
 }
 
 // MustNew is New but panics on error; for tests and generators whose inputs

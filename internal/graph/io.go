@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -16,26 +19,94 @@ import (
 // The bytes are part of the service's contract: Store.Mutate
 // content-addresses a derived graph by the SHA-256 of this encoding, so
 // the same graph must encode to the same bytes across versions.
+//
+// The lines go into one buffer of at most 64 KiB, written to w whenever
+// it cannot hold another line; each endpoint's digits are written in
+// place (appendDecimal). A w with a Grow(int) method, such as a
+// bytes.Buffer, is first grown to an upper bound of the encoding's
+// length, so it does not reallocate while Encode writes.
 func Encode(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	line := make([]byte, 0, 2*20+2) // two int64s, a space and a newline
-	write := func(a, b int64) error {
-		line = strconv.AppendInt(line[:0], a, 10)
-		line = append(line, ' ')
-		line = strconv.AppendInt(line, b, 10)
-		line = append(line, '\n')
-		_, err := bw.Write(line)
-		return err
+	// Every endpoint is below n, so an edge line takes at most lineMax
+	// bytes, and the header at most two int64s, a space and a newline.
+	lineMax := 0
+	if g.M() > 0 {
+		lineMax = 2*decimalLen(uint32(min(g.N()-1, math.MaxInt32))) + 2
 	}
-	if err := write(int64(g.N()), int64(g.M())); err != nil {
-		return err
+	size := 2*20 + 2 + g.M()*lineMax
+	if gw, ok := w.(interface{ Grow(int) }); ok {
+		gw.Grow(size)
 	}
+	buf := make([]byte, 0, min(size, 1<<16))
+	buf = strconv.AppendInt(buf, int64(g.N()), 10)
+	buf = append(buf, ' ')
+	buf = strconv.AppendInt(buf, int64(g.M()), 10)
+	buf = append(buf, '\n')
 	for _, e := range g.Edges() {
-		if err := write(int64(e.U), int64(e.V)); err != nil {
-			return err
+		if cap(buf)-len(buf) < lineMax {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
+		buf = appendDecimal(buf, uint32(e.U))
+		buf = append(buf, ' ')
+		buf = appendDecimal(buf, uint32(e.V))
+		buf = append(buf, '\n')
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
+}
+
+// decimalPairs holds the two-digit decimal strings "00" through "99".
+const decimalPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// pow10 holds 10^i for the decimal lengths a uint32 can have.
+var pow10 = [10]uint32{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// decimalLen returns the number of decimal digits of x (1 for 0).
+// With b = bits.Len32(x), b*1233>>12 is floor(b*log10(2)), which is the
+// length of x or one less; one comparison settles which. x|1 makes 0 a
+// one-digit number and moves no other x across a power of ten, all of
+// which are even from 10 on.
+func decimalLen(x uint32) int {
+	t := bits.Len32(x|1) * 1233 >> 12
+	if x|1 < pow10[t] {
+		return t
+	}
+	return t + 1
+}
+
+// appendDecimal appends the decimal digits of x to b, as
+// strconv.AppendUint(b, uint64(x), 10) does: it counts the digits
+// first, then writes them two at a time from the last pair, straight
+// into b's spare capacity.
+func appendDecimal(b []byte, x uint32) []byte {
+	n := len(b)
+	b = slices.Grow(b, 10)[:n+decimalLen(x)]
+	d := b[n:]
+	i := len(d)
+	for x >= 100 {
+		q := x / 100
+		r := (x - q*100) * 2
+		i -= 2
+		d[i], d[i+1] = decimalPairs[r], decimalPairs[r+1]
+		x = q
+	}
+	if x >= 10 {
+		d[i-2], d[i-1] = decimalPairs[2*x], decimalPairs[2*x+1]
+	} else {
+		d[i-1] = byte('0' + x)
+	}
+	return b
 }
 
 // Decode reads a graph in the format produced by Encode. Blank lines and
@@ -43,6 +114,11 @@ func Encode(w io.Writer, g *Graph) error {
 // header's m edges is an error: trailing lines almost always mean a
 // mis-declared edge count or a concatenated file, and silently dropping
 // them would decode a different graph than the one written.
+//
+// An edge line shaped exactly as Encode writes it is parsed in one pass
+// (lineReader.edge); every other line takes the general path, which
+// trims, splits and converts it by the rules of strings.TrimSpace,
+// strings.Fields and strconv.Atoi. Both give a line the same verdict.
 func Decode(r io.Reader) (*Graph, error) {
 	lr := newLineReader(r)
 	readLine := func() bool {
@@ -72,6 +148,10 @@ func Decode(r io.Reader) (*Graph, error) {
 	// header must not commission a giant allocation.
 	edges := make([]Edge, 0, min(m, preallocCap))
 	for i := 0; i < m; i++ {
+		if e, ok := lr.edge(n); ok {
+			edges = append(edges, e)
+			continue
+		}
 		if !readLine() {
 			return nil, lr.ended(fmt.Errorf("graph: expected %d edges, got %d", m, i))
 		}
@@ -99,23 +179,27 @@ func Decode(r io.Reader) (*Graph, error) {
 	if err := lr.sc.Err(); err != nil {
 		return nil, err
 	}
-	return New(n, edges)
+	return newOwned(n, edges)
 }
 
-// lineReader is the tokenizer under the three text decoders. It reads
-// lines with a bufio.Scanner and splits them in place, so a line costs
-// no allocation: line and its fields alias the scanner's buffer and are
-// valid until the next scan. The fields are kept as offsets, not slices,
-// so splitting writes no pointers to the heap (slices paid a GC write
-// barrier per field while a collection ran). Trimming and splitting
-// follow strings.TrimSpace and strings.Fields exactly (ASCII spaces by
-// table, any other byte decoded as a rune and tested with
-// unicode.IsSpace), and atoi accepts and rejects exactly what
-// strconv.Atoi does, so the decoders accept the same inputs and report
-// the same errors as when they worked on strings.
+// lineReader is the tokenizer under the three text decoders. Its
+// scanner returns runs of whole lines (scanRuns), and scan walks the
+// lines of a run and splits them in place, so a line costs no
+// allocation and no call into the scanner: line and its fields alias the
+// scanner's buffer and are valid until the next scan. The read position
+// in the run and the fields are kept as offsets, not slices, so walking
+// and splitting write no pointers to the heap (slices paid a GC write
+// barrier per line and field while a collection ran). Lines, trimming and splitting follow bufio.ScanLines,
+// strings.TrimSpace and strings.Fields exactly (ASCII spaces by table,
+// any other byte decoded as a rune and tested with unicode.IsSpace), and
+// atoi accepts and rejects exactly what strconv.Atoi does, so the
+// decoders accept the same inputs and report the same errors as when
+// they worked on strings.
 type lineReader struct {
 	sc     *bufio.Scanner
-	lineno int
+	lineno int    // lines read so far, comments and blank lines included
+	run    []byte // the scanner's current run of whole lines
+	pos    int    // run[pos:] is still unread
 	line   []byte // the current line, trimmed like strings.TrimSpace
 	spans  []span // split's fields of line, reused from line to line
 	eof    bool   // scan has reported false
@@ -127,9 +211,27 @@ type span struct{ lo, hi int }
 func newLineReader(r io.Reader) *lineReader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	sc.Split(scanRuns)
 	// spans starts with room for a METIS line of a degree-16 vertex, so
 	// sparse graphs never grow it.
 	return &lineReader{sc: sc, spans: make([]span, 0, 16)}
+}
+
+// scanRuns is a bufio.SplitFunc that returns every whole line in the
+// scanner's buffer as one token, newlines included, and the rest of the
+// input at its end. A line must fit the buffer with its newline, as for
+// bufio.ScanLines, so the cap, the point where bufio.ErrTooLong stops
+// the scan and the last line without a newline stay those of ScanLines.
+// The '\r' that ScanLines drops from a line's end is a space that the
+// trimming removes.
+func scanRuns(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // scan reads the next line. It reports false at the end of the input or
@@ -137,13 +239,61 @@ func newLineReader(r io.Reader) *lineReader {
 // again after bufio.ErrTooLong, a Scanner would hand back the first
 // 16 MiB of the over-long line as a last line.
 func (lr *lineReader) scan() bool {
-	if lr.eof || !lr.sc.Scan() {
-		lr.eof = true
-		return false
+	if lr.pos == len(lr.run) {
+		if lr.eof || !lr.sc.Scan() {
+			lr.eof = true
+			return false
+		}
+		lr.run, lr.pos = lr.sc.Bytes(), 0
+	}
+	line := lr.run[lr.pos:]
+	if i := bytes.IndexByte(line, '\n'); i >= 0 {
+		line = line[:i]
+		lr.pos += i + 1
+	} else {
+		lr.pos = len(lr.run)
 	}
 	lr.lineno++
-	lr.line = bytes.TrimSpace(lr.sc.Bytes())
+	lr.line = bytes.TrimSpace(line)
 	return true
+}
+
+// edge parses the next line when it is exactly what Encode writes for an
+// edge below n: 1 to 9 ASCII digits, one space, 1 to 9 ASCII digits and
+// a newline, within the current run, with both numbers below n. It then
+// consumes the line. Any other line it leaves unread and reports false,
+// so that the general path gives it its verdict and error text; that
+// holds also for a line of the right shape with an endpoint out of
+// range, and for a last line without a newline. Nine digits are below
+// 2^30, so u and v cannot overflow.
+func (lr *lineReader) edge(n int) (Edge, bool) {
+	b := lr.run[lr.pos:]
+	u, i := leadingDigits(b)
+	if i == 0 || i > 9 || i == len(b) || b[i] != ' ' || u >= n {
+		return Edge{}, false
+	}
+	v, j := leadingDigits(b[i+1:])
+	if j == 0 || j > 9 || i+1+j == len(b) || b[i+1+j] != '\n' || v >= n {
+		return Edge{}, false
+	}
+	lr.pos += i + 1 + j + 1
+	lr.lineno++
+	return Edge{U: int32(u), V: int32(v)}, true
+}
+
+// leadingDigits parses the ASCII digits at the start of b, looking at
+// no more than 10 of them, and returns their value and count. The value
+// is meaningful only for a count below 10.
+func leadingDigits(b []byte) (x, k int) {
+	for k < len(b) && k < 10 {
+		c := b[k] - '0'
+		if c > 9 {
+			break
+		}
+		x = x*10 + int(c)
+		k++
+	}
+	return x, k
 }
 
 // ended returns the error for an input that ended early: the scanner's
