@@ -86,8 +86,8 @@ type Request struct {
 	// instead of an error. A run that finishes before its deadline
 	// returns a Result bit-identical to the same run without Anytime, so
 	// the flag is deliberately not part of the cache key: complete
-	// results are interchangeable, and partial results must be cached
-	// under a quality-qualified key by the caller (internal/service does).
+	// results are interchangeable, and a caller must never cache a
+	// partial result under that key (internal/service caches none).
 	Anytime bool `json:"anytime,omitempty"`
 }
 

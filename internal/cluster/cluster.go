@@ -436,13 +436,15 @@ func (c *Cluster) snapshotCopy() map[string]NodeSnapshot {
 }
 
 // merge folds a received snapshot map into ours. Higher per-origin Seq
-// wins; our own entry is never overwritten (we are the authority on
-// ourselves).
+// wins. Only configured peers are merged: our own entry is never
+// overwritten (we are the authority on ourselves), and a node outside
+// the fleet would otherwise stay in the map, re-sent every round,
+// forever.
 func (c *Cluster) merge(in map[string]NodeSnapshot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for id, snap := range in {
-		if id == c.cfg.NodeID || snap.Node.ID != id {
+		if c.peers[id] == nil || snap.Node.ID != id {
 			continue
 		}
 		if cur, ok := c.snapshots[id]; !ok || snap.Seq > cur.Seq {

@@ -113,7 +113,8 @@ func TestRouteFailover(t *testing.T) {
 }
 
 // TestGossipMerge pins the per-origin sequence rule: higher Seq wins,
-// lower is ignored, and a node's own entry is never overwritten.
+// lower is ignored, a node's own entry is never overwritten, and only
+// fleet members are merged.
 func TestGossipMerge(t *testing.T) {
 	peers := []Peer{{ID: "a", Addr: "http://a:1"}, {ID: "b", Addr: "http://b:1"}}
 	c := testCluster(t, "a", peers, nil)
@@ -125,6 +126,7 @@ func TestGossipMerge(t *testing.T) {
 		"b": {Node: NodeInfo{ID: "b"}, Seq: 3, Stats: StatsSummary{JobsDone: 3}},
 		"a": {Node: NodeInfo{ID: "a"}, Seq: 999, Stats: StatsSummary{JobsDone: 999}},
 		"x": {Node: NodeInfo{ID: "y"}, Seq: 1}, // id mismatch: dropped
+		"z": {Node: NodeInfo{ID: "z"}, Seq: 1}, // not in the fleet: dropped
 	})
 	snaps := c.snapshotCopy()
 	if snaps["b"].Stats.JobsDone != 5 {
@@ -135,6 +137,9 @@ func TestGossipMerge(t *testing.T) {
 	}
 	if _, ok := snaps["x"]; ok {
 		t.Fatal("merged snapshot with mismatched node id")
+	}
+	if _, ok := snaps["z"]; ok {
+		t.Fatal("merged snapshot of a node outside the fleet")
 	}
 	c.merge(map[string]NodeSnapshot{
 		"b": {Node: NodeInfo{ID: "b"}, Seq: 9, Stats: StatsSummary{JobsDone: 9}},

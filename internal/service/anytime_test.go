@@ -21,7 +21,7 @@ import (
 // anytime keys: the plain key rendering is byte-identical to what
 // earlier releases produced (anytime must not invalidate warm caches),
 // the anytime flag itself never changes the complete key, and the
-// partial/in-flight qualifiers can never collide with it.
+// in-flight qualifier can never collide with it.
 func TestAnytimeCacheKeyContract(t *testing.T) {
 	spec := JobSpec{GraphID: "sha256:aa", Algorithm: "decompose",
 		Options: nwforest.Options{Alpha: 3, Eps: 0.5, Seed: 1}}
@@ -35,16 +35,6 @@ func TestAnytimeCacheKeyContract(t *testing.T) {
 	anytime.TimeoutMillis = 50
 	if got := anytime.CacheKey(); got != golden {
 		t.Errorf("anytime flag leaked into the complete key:\n got  %q\n want %q", got, golden)
-	}
-
-	if got, want := spec.partialCacheKey(7), golden+",anytime-partial=7"; got != want {
-		t.Errorf("partial key:\n got  %q\n want %q", got, want)
-	}
-	if spec.partialCacheKey(7) == spec.partialCacheKey(8) {
-		t.Error("partials of different quality share a key")
-	}
-	if spec.partialCacheKey(7) == spec.CacheKey() {
-		t.Error("partial key collides with the complete key")
 	}
 
 	if got := spec.inflightKey(); got != golden {

@@ -237,6 +237,57 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestUploadReplicatesToOwner uploads graphs to a node that does not own
+// them. The owner must receive the bytes by replication, not by a later
+// fill; with the owner dead, the upload still succeeds on the local copy
+// and the graph serves jobs there.
+func TestUploadReplicatesToOwner(t *testing.T) {
+	nodes := startTestCluster(t, 2)
+	a, b := nodes[0], nodes[1]
+	// ownedByB returns the next forest union, from seed on, that a routes
+	// to b.
+	ownedByB := func(seed uint64) ([]byte, string, uint64) {
+		for end := seed + 256; seed < end; seed++ {
+			data := encode(t, gen.ForestUnion(60, 2, seed))
+			id := hashID(graph.FormatPlain, data)
+			if p, self := a.clu.Route(id); !self && p.ID == b.id {
+				return data, id, seed
+			}
+		}
+		t.Fatalf("no graph from seed %d on routes to %s", seed-256, b.id)
+		return nil, "", 0
+	}
+	data, id, seed := ownedByB(1)
+	later, laterID, _ := ownedByB(seed + 1)
+
+	var info GraphInfo
+	if code := doJSON(t, "POST", a.base+"/graphs", data, "", &info); code != http.StatusCreated || info.ID != id {
+		t.Fatalf("POST /graphs via %s -> %d %s, want 201 %s", a.id, code, info.ID, id)
+	}
+	if _, ok := b.svc.Store().Info(id); !ok {
+		t.Fatal("the owner does not hold the uploaded graph")
+	}
+	if got := a.svc.peerStats().GraphPushes; got != 1 {
+		t.Fatalf("uploader's graph pushes = %d, want 1", got)
+	}
+	if got := b.svc.peerStats().GraphFills; got != 0 {
+		t.Fatalf("owner's graph fills = %d, want 0: it pulled the graph instead of receiving it", got)
+	}
+
+	b.kill()
+	if code := doJSON(t, "POST", a.base+"/graphs", later, "", &info); code != http.StatusCreated || info.ID != laterID {
+		t.Fatalf("POST /graphs with the owner dead -> %d %s, want 201 %s", code, info.ID, laterID)
+	}
+	if got := a.svc.peerStats().GraphPushes; got != 1 {
+		t.Fatalf("graph pushes = %d after an upload the dead owner could not take, want still 1", got)
+	}
+	spec, _ := json.Marshal(JobSpec{GraphID: laterID, Algorithm: "decompose",
+		Options: nwforest.Options{Alpha: 2, Eps: 0.5, Seed: 1}})
+	if snap := clusterSubmit(t, a.base, spec); snap.State != JobDone {
+		t.Fatalf("job on the uploader finished as %s (%s)", snap.State, snap.Error)
+	}
+}
+
 // TestClusterDrainRouting: a draining node keeps answering /healthz
 // (liveness) but flips /readyz, and its peers stop routing new work to
 // it once the health probes see the 503.

@@ -37,8 +37,11 @@ const maxUploadBytes = 256 << 20
 //	                        capability flags of every runnable algorithm,
 //	                        so clients discover the job surface instead
 //	                        of guessing it
-//	POST   /jobs            submit a JobSpec; 200 + done job on a cache
-//	                        hit, 202 + queued job otherwise, 503 when the
+//	POST   /jobs            submit a JobSpec; 200 + done job when the
+//	                        submit itself hit the result cache, 202
+//	                        otherwise (queued, or following an identical
+//	                        in-flight job) with the job as of the answer,
+//	                        which may already be terminal; 503 when the
 //	                        queue is full. "anytime": true (anytime-capable
 //	                        algorithms, mode full) makes a mid-run deadline
 //	                        serve the best phase-boundary checkpoint as a
@@ -136,7 +139,7 @@ func NewHTTPHandler(svc *Service) http.Handler {
 			writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 			return
 		}
-		svc.Cancel(id)
+		j.Cancel(clientCancel)
 		writeJSON(w, http.StatusOK, j.Snapshot())
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
@@ -366,12 +369,13 @@ func handleSubmitJob(svc *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	snap := j.Snapshot()
-	if snap.State.terminal() { // cache hit
-		writeJSON(w, http.StatusOK, snap)
-		return
+	// The status is the admission's; the body is the job as of now, and
+	// may already be terminal.
+	status := http.StatusAccepted
+	if j.admitted == admitCached {
+		status = http.StatusOK
 	}
-	writeJSON(w, http.StatusAccepted, snap)
+	writeJSON(w, status, j.Snapshot())
 }
 
 func handleGetJob(svc *Service, w http.ResponseWriter, r *http.Request) {

@@ -78,7 +78,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/jobs", spec, "application/json", &snap); code != http.StatusAccepted {
 		t.Fatalf("POST /jobs -> %d, want 202", code)
 	}
-	if snap.ID == "" || snap.State.terminal() {
+	if snap.ID == "" || snap.Cached {
 		t.Fatalf("fresh job snapshot %+v", snap)
 	}
 

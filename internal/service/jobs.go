@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"strconv"
 	"sync"
 	"time"
 
@@ -17,7 +16,7 @@ type JobState string
 const (
 	// JobQueued: accepted, waiting for a worker.
 	JobQueued JobState = "queued"
-	// JobRunning: a worker is executing it.
+	// JobRunning: a worker is executing it, or publishing its result.
 	JobRunning JobState = "running"
 	// JobDone: finished successfully; Result is set.
 	JobDone JobState = "done"
@@ -65,7 +64,7 @@ type JobSpec struct {
 	// carries its quality bound) instead of being canceled. A job that
 	// finishes in time returns the bit-identical complete result, which
 	// is why Anytime is not part of the cache key; partial results are
-	// cached under a key qualified with their quality bound.
+	// never cached, so one can never mask a complete run.
 	Anytime bool `json:"anytime,omitempty"`
 }
 
@@ -111,15 +110,6 @@ func (sp JobSpec) CacheKey() string {
 	return sp.GraphID + "|" + algo.CacheKey(sp.request()) + ",mode=" + sp.effectiveMode()
 }
 
-// partialCacheKey keys a partial anytime result by its quality bound:
-// partial and complete entries never collide, and partials of different
-// quality never overwrite each other. Submit only ever consults the
-// plain CacheKey — a complete result satisfies an anytime request, but a
-// cached partial must never mask a fresh (possibly complete) run.
-func (sp JobSpec) partialCacheKey(bound int) string {
-	return sp.CacheKey() + ",anytime-partial=" + strconv.Itoa(bound)
-}
-
 // inflightKey keys the in-flight dedup map. Anytime jobs never share a
 // leader with non-anytime jobs: their deadline outcomes differ (one
 // side's partial result or cancellation would be wrong for the other).
@@ -134,15 +124,36 @@ func (sp JobSpec) inflightKey() string {
 // exactly the fields relevant to the requested algorithm are set.
 type JobResult = algo.Result
 
-// Job is one unit of work owned by the Service.
+// admission is how Submit took a job in. It is set at registration and
+// never changes, so the POST /jobs status never depends on how far the
+// job got by the time the handler answers.
+type admission uint8
+
+const (
+	admitQueued   admission = iota // enqueued for a worker: it leads its computation
+	admitCached                    // born done from the result cache
+	admitFollower                  // attached to an identical in-flight leader
+)
+
+// Job is one unit of work owned by the Service. Its lifecycle is one
+// rule, applied under mu: queued → running (tryStart), running → claimed
+// (claim), and one terminal transition (finish) that the first caller
+// wins. A claimed job can be ended only by its worker's done transition,
+// so whatever a worker publishes after claim belongs to a job that ends
+// done, and a job canceled or expired first publishes nothing.
 type Job struct {
 	mu sync.Mutex
 
 	id       string
 	spec     JobSpec
+	svc      *Service // settles the job when it ends
+	admitted admission
 	state    JobState
-	cached   bool
-	follower bool // attached to an in-flight leader; set before registration
+	// claimed marks a running job whose worker is publishing its result
+	// (cache, WAL, counters): no transition but the worker's done can end
+	// it. It still reads as running.
+	claimed bool
+	cached  bool
 	// localOnly pins execution to this node: set for peer-forwarded jobs
 	// (SubmitLocal), which must never consult or forward to peers again.
 	localOnly bool
@@ -155,12 +166,16 @@ type Job struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	done   chan struct{} // closed once a terminal job is settled
-	// settle runs once, on the goroutine whose transition made the job
-	// terminal, before done closes: the service's trace, history and
-	// retention bookkeeping, which anyone woken by Done() must find
-	// complete.
-	settle func(*Job)
+	// stopExpiry unregisters the deadline hook (expire) from ctx; nil for
+	// a cache hit, which has none.
+	stopExpiry func() bool
+	done       chan struct{} // closed once a terminal job is settled
+
+	// leader is a follower's in-flight leader, and followers a leader's
+	// attached followers; both are guarded by svc.mu and cleared when
+	// either side settles.
+	leader    *Job
+	followers []*Job
 
 	// hub carries the job's progress event stream (GET /jobs/{id}/events).
 	// The terminal state event is published with the terminal
@@ -242,12 +257,15 @@ func (j *Job) State() JobState {
 	return j.state
 }
 
-// tryStart moves a queued job to running; it fails if the job was
-// canceled while waiting in the queue.
+// tryStart moves a queued job to running. It refuses a job that has
+// ended, or whose context has (its deadline hook ends it). Starting an
+// anytime job unregisters the hook: a running anytime job's deadline
+// belongs to its worker, which serves the best checkpoint within the
+// grace. If the hook has already fired, the job does not start.
 func (j *Job) tryStart(now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != JobQueued {
+	if j.state != JobQueued || j.ctx.Err() != nil || (j.spec.Anytime && !j.stopExpiry()) {
 		return false
 	}
 	j.state = JobRunning
@@ -256,67 +274,76 @@ func (j *Job) tryStart(now time.Time) bool {
 	return true
 }
 
-// finish moves the job to a terminal state; the first transition wins and
-// later ones (e.g. a computation completing after its job was canceled)
-// are dropped. cached marks results served without running the algorithm
-// (result-cache hits and deduplicated in-flight followers). The winner
-// settles the job before finish returns.
-func (j *Job) finish(now time.Time, state JobState, res *JobResult, errMsg string, cached bool) bool {
+// claim moves a running job to claimed; its worker calls it before it
+// caches, persists or counts the result. It fails if the job has ended.
+func (j *Job) claim() bool {
 	j.mu.Lock()
-	won := j.finishLocked(now, state, res, errMsg, cached)
-	j.mu.Unlock()
-	if won {
-		j.settleTerminal()
-	}
-	return won
-}
-
-// finishLocked is the terminal transition, with j.mu already held; the
-// caller settles the job after releasing j.mu if it won.
-func (j *Job) finishLocked(now time.Time, state JobState, res *JobResult, errMsg string, cached bool) bool {
-	if j.state.terminal() {
+	defer j.mu.Unlock()
+	if j.state != JobRunning || j.claimed {
 		return false
 	}
-	j.state = state
-	j.result = res
-	j.errMsg = errMsg
-	j.cached = cached
-	j.finished = now
-	j.hub.publish(JobEvent{Type: "state", State: state, Cached: cached, Error: errMsg})
-	j.cancel() // release the context's resources
+	j.claimed = true
 	return true
 }
 
-// settleTerminal runs the settle hook and then closes done, so anyone
-// woken by Done() finds the job's trace, history record and terminal
-// event. Only the winning transition's goroutine calls it, once.
-func (j *Job) settleTerminal() {
-	j.settle(j)
-	close(j.done)
-}
-
-// cancelIfQueued moves a job that is still waiting in the queue to
-// JobCanceled; a running job is left untouched (the anytime path lets
-// the worker turn a mid-run deadline into a partial result instead).
-// The state check and the transition are atomic under j.mu, so it can
-// never race tryStart into canceling a job a worker just claimed.
-func (j *Job) cancelIfQueued(now time.Time, errMsg string) bool {
+// finish is the terminal transition. It wins if the job has not ended
+// and the caller holds the job's claim exactly when there is one: an
+// unclaimed job ends by whoever comes first (its admission as a cache
+// hit, its leader's outcome, Cancel, its deadline hook, its worker's
+// failure), a claimed one only by its claimant, the worker, with done.
+// A loser (a computation completing after its job was canceled, a
+// deadline firing while the result is published) changes nothing. A
+// job admitted as a cache hit or as a follower reads cached unless it
+// ends canceled: its outcome was served, not computed. The winner
+// settles the job before finish returns.
+func (j *Job) finish(now time.Time, state JobState, res *JobResult, errMsg string, claimant bool) bool {
 	j.mu.Lock()
-	won := j.state == JobQueued && j.finishLocked(now, JobCanceled, nil, errMsg, false)
+	won := !j.state.terminal() && j.claimed == claimant
+	if won {
+		j.state = state
+		j.result = res
+		j.errMsg = errMsg
+		j.cached = j.admitted != admitQueued && state != JobCanceled
+		j.finished = now
+		j.hub.publish(JobEvent{Type: "state", State: state, Cached: j.cached, Error: errMsg})
+		if j.stopExpiry != nil {
+			j.stopExpiry()
+		}
+		j.cancel() // release the context's resources
+	}
 	j.mu.Unlock()
 	if won {
-		j.settleTerminal()
+		j.svc.settle(j)
 	}
 	return won
+}
+
+// expire is the deadline hook: context.AfterFunc runs it on its own
+// goroutine once the job's context ends, and it cancels the job with the
+// context's error.
+func (j *Job) expire() {
+	j.finish(time.Now(), JobCanceled, nil, j.ctx.Err().Error(), false)
+}
+
+// followOutcome ends a follower from its settled leader's outcome: done
+// and failed outcomes are shared, and a canceled leader cancels the
+// follower rather than silently re-running the work. It reports whether
+// the follower was still live to take it.
+func (j *Job) followOutcome(now time.Time, leader JobSnapshot) bool {
+	if leader.State == JobCanceled {
+		return j.finish(now, JobCanceled, nil, "deduplicated onto job "+leader.ID+", which was canceled", false)
+	}
+	return j.finish(now, leader.State, leader.Result, leader.Error, false)
 }
 
 // Cancel requests cancellation: queued and running jobs move to
 // JobCanceled (a running computation is abandoned; its eventual result
-// is discarded and not cached). Canceling a terminal job is a no-op.
-// It reports whether this call performed the cancellation.
+// is discarded, neither cached nor counted). A job whose worker has
+// claimed it to publish its result, and a terminal job, are left as
+// they are. It reports whether this call performed the cancellation.
 //
 // The transition comes first and cancels the context itself: canceling
-// the context first would let the watcher or the worker, woken by
+// the context first would let the deadline hook or the worker, woken by
 // ctx.Done(), take the terminal transition with the context's error.
 func (j *Job) Cancel(reason string) bool {
 	return j.finish(time.Now(), JobCanceled, nil, reason, false)

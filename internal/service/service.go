@@ -24,6 +24,7 @@ import (
 	"log/slog"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -292,7 +293,7 @@ func Open(cfg Config) (*Service, error) {
 		inflight: make(map[string]*Job),
 		history:  newJobHistory(cfg.HistoryCapacity, historyMaxBytes),
 	}
-	// The hook runs inside pruneFinished's Put, under s.mu.
+	// The eviction hook runs inside settle's Put, under s.mu.
 	s.retained = lru.New(retainJobs, cfg.ResultCacheBytes, func(id string, _ struct{}) { delete(s.jobs, id) })
 	if !cfg.DisableTracing {
 		s.traces = trace.NewRing(traceCapacity, traceMaxBytes)
@@ -536,153 +537,97 @@ func (s *Service) submit(spec JobSpec, localOnly bool) (*Job, error) {
 			return nil, fmt.Errorf("%w %q", ErrUnknownGraph, spec.GraphID)
 		}
 	}
+	j := s.newJob(spec, localOnly)
 
-	now := time.Now()
+	// The cache is consulted under the complete-result key even for
+	// anytime jobs: a complete result always satisfies an anytime request,
+	// and partial results are never cached.
+	res, hit := s.cache.get(spec.CacheKey())
+	// In-flight deduplication: an identical computation already queued or
+	// running makes this job a follower — it gets its own ID, deadline
+	// and cancel, consumes no queue slot, and completes from the leader's
+	// outcome when the leader settles instead of recomputing. Followers
+	// are still backpressured: each costs a Job, so without a cap a
+	// client hammering one slow computation could pile them up without
+	// ever seeing a 503. Anytime and non-anytime jobs dedup separately
+	// (inflightKey), since their deadline outcomes differ. A hit skips
+	// the key: no job is in flight under "".
+	key := ""
+	if !hit {
+		key = spec.inflightKey()
+	}
+	s.mu.Lock()
+	leader := s.inflight[key]
+	var err error
+	switch {
+	case s.closed:
+		err = ErrClosed
+	case hit:
+		s.register(j, admitCached)
+	case leader != nil && s.followers < s.cfg.QueueDepth:
+		s.followers++
+		s.dedups++
+		j.leader = leader
+		leader.followers = append(leader.followers, j)
+		s.register(j, admitFollower)
+	case leader != nil || len(s.queue) >= cap(s.queue):
+		err = ErrQueueFull
+	default:
+		// Only submit sends, under s.mu, so the room just checked is still
+		// there. Register first: a worker may pop the job the instant it
+		// lands in the channel, and must find its ID already assigned.
+		s.register(j, admitQueued)
+		s.inflight[key] = j
+		s.queue <- j
+	}
+	s.mu.Unlock()
+	if err != nil {
+		j.cancel()
+		return nil, err
+	}
+	if hit {
+		j.finish(j.created, JobDone, res, "", false)
+	}
+	return j, nil
+}
+
+// newJob builds a queued job under its own context, which carries the
+// spec's deadline (or the service default).
+func (s *Service) newJob(spec JobSpec, localOnly bool) *Job {
 	timeout := s.cfg.DefaultTimeout
 	if spec.TimeoutMillis > 0 {
 		timeout = time.Duration(spec.TimeoutMillis) * time.Millisecond
 	}
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(s.baseCtx, timeout)
-	} else {
-		ctx, cancel = context.WithCancel(s.baseCtx)
-	}
 	j := &Job{
 		spec:      spec,
+		svc:       s,
 		state:     JobQueued,
-		created:   now,
-		ctx:       ctx,
-		cancel:    cancel,
+		created:   time.Now(),
 		done:      make(chan struct{}),
 		hub:       newEventHub(),
 		localOnly: localOnly,
-		settle:    s.pruneFinished,
+	}
+	if timeout > 0 {
+		j.ctx, j.cancel = context.WithTimeout(s.baseCtx, timeout)
+	} else {
+		j.ctx, j.cancel = context.WithCancel(s.baseCtx)
 	}
 	j.hub.publish(JobEvent{Type: "state", State: JobQueued})
-
-	// The cache is consulted under the complete-result key even for
-	// anytime jobs: a complete result always satisfies an anytime request,
-	// while cached partials (keyed with their quality bound) are never
-	// served in place of a fresh run.
-	if res, ok := s.cache.get(spec.CacheKey()); ok {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			cancel()
-			return nil, ErrClosed
-		}
-		s.register(j)
-		s.mu.Unlock()
-		j.finish(now, JobDone, res, "", true)
-		return j, nil
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		cancel()
-		return nil, ErrClosed
-	}
-	// In-flight deduplication: an identical computation already queued or
-	// running makes this job a follower — it gets its own ID, deadline
-	// and cancel, consumes no queue slot, and completes from the leader's
-	// outcome instead of recomputing. Followers are still backpressured:
-	// each costs a Job plus two goroutines, so without a cap a client
-	// hammering one slow computation could pile them up without ever
-	// seeing a 503. Anytime and non-anytime jobs dedup separately
-	// (inflightKey), since their deadline outcomes differ.
-	key := spec.inflightKey()
-	if leader, ok := s.inflight[key]; ok && !leader.State().terminal() {
-		if s.followers >= s.cfg.QueueDepth {
-			s.mu.Unlock()
-			cancel()
-			return nil, ErrQueueFull
-		}
-		j.follower = true
-		s.followers++
-		s.register(j)
-		s.dedups++
-		s.mu.Unlock()
-		s.watch(j)
-		go s.follow(j, leader)
-		return j, nil
-	}
-	// Register before enqueueing: a worker may pop the job the instant it
-	// lands in the channel, and must find its ID already assigned.
-	s.register(j)
-	s.inflight[key] = j
-	select {
-	case s.queue <- j:
-		s.mu.Unlock()
-		s.watch(j)
-		return j, nil
-	default:
-		delete(s.jobs, j.id)
-		if s.inflight[key] == j {
-			delete(s.inflight, key)
-		}
-		s.mu.Unlock()
-		cancel()
-		return nil, ErrQueueFull
-	}
+	return j
 }
 
-// follow completes a deduplicated follower job from its leader's
-// outcome: a successful leader result is shared (flagged cached), a
-// failure is deterministic and shared too, and a canceled leader cancels
-// the follower rather than silently re-running the work. The follower's
-// own cancellation or deadline wins if it fires first.
-func (s *Service) follow(j, leader *Job) {
-	select {
-	case <-leader.Done():
-	case <-j.done:
-		return // follower canceled/expired first; its watcher handled it
-	}
-	snap := leader.Snapshot()
-	switch snap.State {
-	case JobDone:
-		j.finish(time.Now(), JobDone, snap.Result, "", true)
-	case JobFailed:
-		j.finish(time.Now(), JobFailed, nil, snap.Error, true)
-	default: // canceled
-		j.finish(time.Now(), JobCanceled, nil,
-			"deduplicated onto job "+leader.ID()+", which was canceled", false)
-	}
-}
-
-// watch moves a job to JobCanceled as soon as its context expires — even
-// while it still sits in the queue, so deadlines are reflected promptly
-// rather than at the next worker pop. The goroutine exits when the job
-// reaches a terminal state by any path.
-//
-// A running anytime leader is exempt: its deadline belongs to runJob,
-// which waits (up to Config.AnytimeGrace) for the algorithm's best
-// checkpoint and completes the job with a partial result. Anytime jobs
-// still waiting in the queue have no checkpoint to serve and are
-// canceled like any other; so are anytime followers, whose leader owns
-// the computation.
-func (s *Service) watch(j *Job) {
-	go func() {
-		select {
-		case <-j.ctx.Done():
-			if j.spec.Anytime && !j.follower {
-				j.cancelIfQueued(time.Now(), j.ctx.Err().Error())
-				return
-			}
-			j.finish(time.Now(), JobCanceled, nil, j.ctx.Err().Error(), false)
-		case <-j.done:
-		}
-	}()
-}
-
-// register assigns an ID and indexes the job; the caller holds s.mu.
-// The span recorder is created here — the ID it carries is the trace
-// ring's key, and registration is the first moment the ID exists.
-func (s *Service) register(j *Job) {
+// register assigns an ID, indexes the job and records how it was
+// admitted; the caller holds s.mu. The span recorder is created here —
+// the ID it carries is the trace ring's key, and registration is the
+// first moment the ID exists. Every job but a cache hit gets its
+// deadline hook, which cancels it when its context ends, queued or
+// running (a running anytime job's worker unregisters it, see
+// tryStart). The hook is assigned under j.mu: a context that has
+// already ended runs it at once, and its transition reads the field.
+func (s *Service) register(j *Job, admitted admission) {
 	s.nextID++
 	j.id = "j-" + strconv.FormatInt(s.nextID, 10)
+	j.admitted = admitted
 	if s.traces != nil {
 		j.rec = trace.NewRecorder(j.id, j.created, s.cfg.TraceRoundEvery)
 		j.hub.rec = j.rec
@@ -691,6 +636,11 @@ func (s *Service) register(j *Job) {
 		s.anytimeJobs.Add(1)
 	}
 	s.jobs[j.id] = j
+	if admitted != admitCached {
+		j.mu.Lock()
+		j.stopExpiry = context.AfterFunc(j.ctx, j.expire)
+		j.mu.Unlock()
+	}
 }
 
 // Get returns the job with the given ID, if it is still retained.
@@ -711,14 +661,17 @@ func (s *Service) Wait(ctx context.Context, j *Job) JobSnapshot {
 	return j.Snapshot()
 }
 
+// clientCancel is the error a client's cancellation records.
+const clientCancel = "canceled by client"
+
 // Cancel cancels the job with the given ID; it reports false if the job
-// is unknown or already terminal.
+// is unknown, already terminal, or claimed by its worker.
 func (s *Service) Cancel(id string) bool {
 	j, ok := s.Get(id)
 	if !ok {
 		return false
 	}
-	return j.Cancel("canceled by client")
+	return j.Cancel(clientCancel)
 }
 
 // Jobs returns snapshots of every retained job, oldest first.
@@ -754,13 +707,9 @@ func (s *Service) worker() {
 // preemptible; an abandoned computation of that kind finishes in the
 // background and its result is discarded.
 func (s *Service) runJob(j *Job) {
-	if err := j.ctx.Err(); err != nil {
-		j.finish(time.Now(), JobCanceled, nil, err.Error(), false)
-		return
-	}
 	started := time.Now()
 	if !j.tryStart(started) {
-		return // canceled while queued; whoever finished it settled it
+		return // ended while queued; whoever ended it settled it
 	}
 	type outcome struct {
 		res *JobResult
@@ -791,43 +740,42 @@ func (s *Service) runJob(j *Job) {
 			j.finish(time.Now(), JobCanceled, nil, out.err.Error(), false)
 		case out.err != nil:
 			j.finish(time.Now(), JobFailed, nil, out.err.Error(), false)
-		case out.res.Anytime != nil && out.res.Anytime.Partial:
-			// A deadline-interrupted anytime run served its best
-			// checkpoint: cache it under the quality-qualified key — never
-			// the complete key, where it would mask a full-quality result.
-			key := j.spec.partialCacheKey(out.res.Anytime.ColorsUsed)
-			s.anytimePartials.Add(1)
-			s.cache.put(key, out.res)
-			s.persistResult(key, out.res)
-			s.observeJobDuration(j.spec.Algorithm, time.Since(started))
-			j.finish(time.Now(), JobDone, out.res, "", false)
+		case !j.claim():
+			// Canceled or expired first: the result is discarded.
 		default:
-			s.cache.put(j.spec.CacheKey(), out.res)
-			s.persistResult(j.spec.CacheKey(), out.res)
+			if out.res.Anytime != nil && out.res.Anytime.Partial {
+				// A deadline-interrupted anytime run served its best
+				// checkpoint. It answers this job's deadline only, so it is
+				// neither cached nor persisted.
+				s.anytimePartials.Add(1)
+			} else {
+				s.cache.put(j.spec.CacheKey(), out.res)
+				s.persistResult(j.spec.CacheKey(), out.res)
+			}
 			s.observeJobDuration(j.spec.Algorithm, time.Since(started))
-			j.finish(time.Now(), JobDone, out.res, "", false)
+			// After the WAL append: a result is durable before any client
+			// can see its job done.
+			j.finish(time.Now(), JobDone, out.res, "", true)
 		}
 	}
 	select {
 	case out := <-ch:
 		handle(out)
 	case <-j.ctx.Done():
-		if j.spec.Anytime {
-			// The deadline fired mid-run: give the algorithm a short grace
-			// to abort at its next context check and surface the best
-			// checkpoint as a partial result. The watch goroutine leaves
-			// running anytime jobs to this path.
-			grace := time.NewTimer(s.cfg.AnytimeGrace)
-			select {
-			case out := <-ch:
-				grace.Stop()
-				handle(out)
-			case <-grace.C:
-				j.finish(time.Now(), JobCanceled, nil,
-					j.ctx.Err().Error()+" (no anytime checkpoint within grace)", false)
-			}
-		} else {
-			j.finish(time.Now(), JobCanceled, nil, j.ctx.Err().Error(), false)
+		if !j.spec.Anytime {
+			return // whoever ended the job (Cancel or its deadline hook) settled it
+		}
+		// The deadline fired mid-run (tryStart unregistered this job's
+		// hook): give the algorithm a short grace to abort at its next
+		// context check and surface the best checkpoint as a partial result.
+		grace := time.NewTimer(s.cfg.AnytimeGrace)
+		select {
+		case out := <-ch:
+			grace.Stop()
+			handle(out)
+		case <-grace.C:
+			j.finish(time.Now(), JobCanceled, nil,
+				j.ctx.Err().Error()+" (no anytime checkpoint within grace)", false)
 		}
 	}
 }
@@ -858,14 +806,20 @@ func (s *Service) observeJobDuration(algorithm string, d time.Duration) {
 	}
 }
 
-// pruneFinished records that j reached a terminal state: it releases j's
-// in-flight dedup slot and forgets the oldest finished jobs beyond the
-// retention budgets (retainJobs entries; result bytes bounded by the
-// result-cache byte budget, since retained results pin memory exactly
-// like cache entries do). Queued and running jobs are never pruned.
-// It is every job's settle hook, so exactly one caller runs it per job:
-// the finish() winner, before the job's done channel closes.
-func (s *Service) pruneFinished(j *Job) {
+// settle records that j reached a terminal state; exactly one caller
+// runs it per job, the finish() winner. It logs the job and files its
+// trace and history record, then, under s.mu, releases j's in-flight
+// dedup slot, detaches its followers (or, for a follower, detaches it
+// from its leader and frees its follower slot) and forgets the oldest
+// finished jobs beyond the retention budgets (retainJobs entries; result
+// bytes bounded by the result-cache byte budget, since retained results
+// pin memory exactly like cache entries do). Queued and running jobs are
+// never pruned. Only then does done close, so anyone woken by Done()
+// finds the trace, the history record and the terminal event; last, the
+// detached followers end from j's outcome. A follower attached before
+// the detach is always ended by it, even if j was already terminal when
+// it attached.
+func (s *Service) settle(j *Job) {
 	snap := j.Snapshot()
 	if s.logger != nil {
 		attrs := []any{
@@ -895,14 +849,31 @@ func (s *Service) pruneFinished(j *Job) {
 		bytes = approxResultBytes(snap.Result)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inflight[j.spec.inflightKey()] == j {
-		delete(s.inflight, j.spec.inflightKey())
+	followers := j.followers
+	j.followers = nil
+	for _, f := range followers {
+		f.leader = nil
 	}
-	if j.follower {
+	switch j.admitted {
+	case admitQueued: // only an enqueued job leads in flight
+		if key := j.spec.inflightKey(); s.inflight[key] == j {
+			delete(s.inflight, key)
+		}
+	case admitFollower:
 		s.followers--
+		if l := j.leader; l != nil {
+			i := slices.Index(l.followers, j)
+			l.followers = slices.Delete(l.followers, i, i+1)
+			j.leader = nil
+		}
 	}
 	s.retained.Put(j.id, struct{}{}, bytes)
+	s.mu.Unlock()
+	close(j.done)
+	now := time.Now()
+	for _, f := range followers {
+		f.followOutcome(now, snap)
+	}
 }
 
 // resultPhases extracts the round count and per-phase cost breakdown
@@ -928,7 +899,7 @@ func millis(d time.Duration) float64 {
 // it attaches the queue and run spans, finalizes the trace against the
 // result's authoritative cost breakdown, moves the trace into the ring,
 // feeds the per-phase self-time histogram, and appends the job-history
-// record. pruneFinished — run exactly once per terminal job — is the
+// record. settle — run exactly once per terminal job — is the
 // only caller, so traces land in the ring exactly once. Cost breakdowns
 // are recorded only for jobs that actually computed (cache hits,
 // followers, failures and cancellations carry none), keeping the ring's
@@ -1016,7 +987,7 @@ func (s *Service) execute(ctx context.Context, j *Job) (*JobResult, error) {
 		if res, err, handled := s.peerExecute(ctx, j); handled {
 			return res, err
 		}
-		res, err := runSpec(ctx, g, spec)
+		res, err := algo.Run(ctx, g, spec.request())
 		if err == nil {
 			s.pushResultToTarget(spec, res)
 		}
@@ -1029,7 +1000,7 @@ func (s *Service) execute(ctx context.Context, j *Job) (*JobResult, error) {
 		// No lineage or no warm start: incremental degrades to a full
 		// run rather than failing the job.
 	}
-	return runSpec(ctx, g, spec)
+	return algo.Run(ctx, g, spec.request())
 }
 
 // tryIncremental serves a mode=incremental decompose job by repair
@@ -1104,15 +1075,6 @@ func (s *Service) tryIncremental(ctx context.Context, g *graph.Graph, spec JobSp
 		Rounds:     cost.Rounds(),
 		Phases:     cost.Breakdown(),
 	}}, true
-}
-
-// runSpec dispatches one job through the algorithm registry. Validation,
-// normalization, defaulting and result verification are owned by the
-// descriptors (internal/algo); the service contributes only its own
-// concerns — graph resolution, mode handling, caching — around this
-// call.
-func runSpec(ctx context.Context, g *graph.Graph, spec JobSpec) (*JobResult, error) {
-	return algo.Run(ctx, g, spec.request())
 }
 
 // validate rejects parameter combinations the algorithms would reject

@@ -439,7 +439,7 @@ func TestAllAlgorithmsRun(t *testing.T) {
 	for _, name := range Algorithms {
 		spec := JobSpec{Algorithm: name, AlphaStar: 4,
 			Options: nwforest.Options{Alpha: 4, Eps: 0.5, Seed: 3}}
-		res, err := runSpec(context.Background(), g, spec)
+		res, err := algo.Run(context.Background(), g, spec.request())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -713,7 +713,7 @@ func TestFinishedJobRetention(t *testing.T) {
 			svc := newTestService(t, Config{Workers: 1, ResultCacheBytes: tc.maxBytes})
 			svc.execHook = func(ctx context.Context, g *graph.Graph, spec JobSpec) (*JobResult, error) {
 				if spec.Options.Seed == 1 {
-					return runSpec(ctx, g, spec)
+					return algo.Run(ctx, g, spec.request())
 				}
 				return blockUntilCanceled(ctx, g, spec)
 			}
