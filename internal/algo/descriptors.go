@@ -403,12 +403,11 @@ func init() {
 			return req
 		},
 		Run: func(ctx context.Context, g *graph.Graph, req Request, cost *dist.Cost) (*Result, error) {
-			// Centralized reference: not preemptible mid-run, but honor an
-			// already-expired context instead of starting the work.
-			if err := ctx.Err(); err != nil {
+			// Centralized reference: the search checks ctx once per edge.
+			alpha, colors, err := exact.Arboricity(ctx, g)
+			if err != nil {
 				return nil, err
 			}
-			alpha, colors := exact.Arboricity(g)
 			return &Result{Alpha: alpha, Decomposition: &Decomposition{
 				Colors:     colors,
 				NumForests: alpha,

@@ -13,6 +13,7 @@
 package exact
 
 import (
+	"context"
 	"fmt"
 
 	"nwforest/internal/graph"
@@ -173,26 +174,31 @@ func (f *forests) applyChain(via map[int32]move, last, c int32) {
 
 // ForestPartition attempts to partition the edges of g into k forests.
 // On success it returns a total coloring (len = g.M(), values in [0,k));
-// ok=false means no k-forest decomposition exists.
-func ForestPartition(g *graph.Graph, k int) (colors []int32, ok bool) {
+// ok=false means no k-forest decomposition exists. It checks ctx before
+// each edge's augmentation and returns ctx.Err() once ctx has ended.
+func ForestPartition(ctx context.Context, g *graph.Graph, k int) (colors []int32, ok bool, err error) {
 	if k <= 0 {
-		return nil, g.M() == 0
+		return nil, g.M() == 0, nil
 	}
 	f := newForests(g, k)
 	for id := int32(0); int(id) < g.M(); id++ {
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
 		if !f.augment(id) {
-			return nil, false
+			return nil, false, nil
 		}
 	}
-	return f.colors, true
+	return f.colors, true, nil
 }
 
 // Arboricity returns the exact arboricity of g: the minimum k such that g
 // decomposes into k forests (0 for edgeless graphs). It also returns a
-// witnessing optimal decomposition.
-func Arboricity(g *graph.Graph) (alpha int, colors []int32) {
+// witnessing optimal decomposition. Every ForestPartition it runs checks
+// ctx, so the search ends with ctx.Err() soon after ctx does.
+func Arboricity(ctx context.Context, g *graph.Graph) (alpha int, colors []int32, err error) {
 	if g.M() == 0 {
-		return 0, make([]int32, 0)
+		return 0, make([]int32, 0), nil
 	}
 	// Lower bound from whole-graph density; find a feasible k by doubling,
 	// then binary search the gap.
@@ -203,7 +209,11 @@ func Arboricity(g *graph.Graph) (alpha int, colors []int32) {
 	hi := lo
 	var hiColors []int32
 	for {
-		if c, ok := ForestPartition(g, hi); ok {
+		c, ok, err := ForestPartition(ctx, g, hi)
+		if err != nil {
+			return 0, nil, err
+		}
+		if ok {
 			hiColors = c
 			break
 		}
@@ -212,14 +222,18 @@ func Arboricity(g *graph.Graph) (alpha int, colors []int32) {
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if c, ok := ForestPartition(g, mid); ok {
+		c, ok, err := ForestPartition(ctx, g, mid)
+		switch {
+		case err != nil:
+			return 0, nil, err
+		case ok:
 			hi = mid
 			hiColors = c
-		} else {
+		default:
 			lo = mid + 1
 		}
 	}
-	return hi, hiColors
+	return hi, hiColors, nil
 }
 
 func ceilDiv(a, b int64) int64 {

@@ -259,40 +259,6 @@ func BarabasiAlbert(n, k int, seed uint64) *graph.Graph {
 	return graph.MustNew(n, edges)
 }
 
-// RandomRegular returns an approximately d-regular simple graph on n
-// vertices via the pairing model, discarding self-loops and duplicates
-// (so a few vertices may have degree slightly below d). n*d should be even
-// for best results, but any inputs are accepted.
-func RandomRegular(n, d int, seed uint64) *graph.Graph {
-	r := rng.New(seed)
-	stubs := make([]int32, 0, n*d)
-	for v := 0; v < n; v++ {
-		for i := 0; i < d; i++ {
-			stubs = append(stubs, int32(v))
-		}
-	}
-	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	seen := make(map[[2]int32]struct{})
-	var edges []graph.Edge
-	for i := 0; i+1 < len(stubs); i += 2 {
-		u, v := stubs[i], stubs[i+1]
-		if u == v {
-			continue
-		}
-		a, b := u, v
-		if a > b {
-			a, b = b, a
-		}
-		key := [2]int32{a, b}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		edges = append(edges, graph.Edge{U: u, V: v})
-	}
-	return graph.MustNew(n, edges)
-}
-
 // MultiplyEdges returns the multigraph obtained by replacing every edge of
 // g with c parallel copies (arboricity scales by exactly c on graphs where
 // the densest subgraph realizes the arboricity).

@@ -172,21 +172,6 @@ func TestBarabasiAlbertSmallN(t *testing.T) {
 	}
 }
 
-func TestRandomRegular(t *testing.T) {
-	g := RandomRegular(100, 6, 2)
-	if !g.IsSimple() {
-		t.Fatal("RandomRegular produced parallel edges")
-	}
-	for v := int32(0); int(v) < g.N(); v++ {
-		if g.Degree(v) > 6 {
-			t.Fatalf("degree(%d) = %d > 6", v, g.Degree(v))
-		}
-	}
-	if g.M() < 100*6/2*8/10 {
-		t.Fatalf("RandomRegular dropped too many edges: m = %d", g.M())
-	}
-}
-
 func TestRoadNetwork(t *testing.T) {
 	g := RoadNetwork(40, 50, 7)
 	if g.N() != 40*50 {

@@ -342,17 +342,6 @@ func (g *Graph) IsForest() bool {
 	return len(g.edges) == g.n-comps
 }
 
-// EdgesWithin returns the IDs of edges whose both endpoints satisfy in().
-func (g *Graph) EdgesWithin(in func(v int32) bool) []int32 {
-	var out []int32
-	for id, e := range g.edges {
-		if in(e.U) && in(e.V) {
-			out = append(out, int32(id))
-		}
-	}
-	return out
-}
-
 // InducedSubgraph returns the subgraph induced by the given vertex set,
 // together with mapping slices: vmap[newV] = oldV and emap[newE] = oldE.
 func (g *Graph) InducedSubgraph(vs []int32) (sub *Graph, vmap, emap []int32) {

@@ -214,15 +214,6 @@ func TestSubgraphOfEdges(t *testing.T) {
 	}
 }
 
-func TestEdgesWithin(t *testing.T) {
-	g := MustNew(4, []Edge{{0, 1}, {1, 2}, {2, 3}})
-	in := map[int32]bool{1: true, 2: true, 3: true}
-	ids := g.EdgesWithin(func(v int32) bool { return in[v] })
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
-		t.Fatalf("EdgesWithin = %v, want [1 2]", ids)
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)

@@ -1,6 +1,7 @@
 package orient
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -67,7 +68,7 @@ func TestPseudoArboricityVsArboricity(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		g := gen.Gnm(25, 70, seed)
 		ps := PseudoArboricity(g)
-		alpha, _ := exact.Arboricity(g)
+		alpha, _, _ := exact.Arboricity(context.Background(), g)
 		if ps > alpha {
 			t.Fatalf("alpha* = %d > alpha = %d", ps, alpha)
 		}
@@ -132,7 +133,7 @@ func TestFromForestDecompositionBoundsOutDegreeByColors(t *testing.T) {
 	// Exact decomposition into alpha forests => orientation out-degree <= alpha.
 	for seed := uint64(0); seed < 3; seed++ {
 		g := gen.ForestUnion(40, 3, seed)
-		alpha, colors := exact.Arboricity(g)
+		alpha, colors, _ := exact.Arboricity(context.Background(), g)
 		o := FromForestDecomposition(g, colors, nil)
 		if got := verify.MaxOutDegree(g, o); got > alpha {
 			t.Fatalf("out-degree %d exceeds alpha %d", got, alpha)

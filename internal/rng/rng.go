@@ -46,9 +46,6 @@ func (s *Source) Uint64() uint64 {
 	return mix64(s.state)
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {

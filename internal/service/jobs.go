@@ -260,8 +260,9 @@ func (j *Job) State() JobState {
 // tryStart moves a queued job to running. It refuses a job that has
 // ended, or whose context has (its deadline hook ends it). Starting an
 // anytime job unregisters the hook: a running anytime job's deadline
-// belongs to its worker, which serves the best checkpoint within the
-// grace. If the hook has already fired, the job does not start.
+// starts the grace instead (see runJob), within which its worker may
+// serve the best checkpoint. If the hook has already fired, the job
+// does not start.
 func (j *Job) tryStart(now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -275,11 +276,14 @@ func (j *Job) tryStart(now time.Time) bool {
 }
 
 // claim moves a running job to claimed; its worker calls it before it
-// caches, persists or counts the result. It fails if the job has ended.
+// caches, persists or counts the result. It fails if the job has ended,
+// and for a job that is not anytime also once its context has: that
+// job's deadline hook is about to cancel it, and a result returning
+// just past the deadline must not win the race against it.
 func (j *Job) claim() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != JobRunning || j.claimed {
+	if j.state != JobRunning || j.claimed || (!j.spec.Anytime && j.ctx.Err() != nil) {
 		return false
 	}
 	j.claimed = true
@@ -337,10 +341,11 @@ func (j *Job) followOutcome(now time.Time, leader JobSnapshot) bool {
 }
 
 // Cancel requests cancellation: queued and running jobs move to
-// JobCanceled (a running computation is abandoned; its eventual result
-// is discarded, neither cached nor counted). A job whose worker has
-// claimed it to publish its result, and a terminal job, are left as
-// they are. It reports whether this call performed the cancellation.
+// JobCanceled (a running computation stops at its next context check
+// and its worker moves on; its result is discarded, neither cached nor
+// counted). A job whose worker has claimed it to publish its result,
+// and a terminal job, are left as they are. It reports whether this
+// call performed the cancellation.
 //
 // The transition comes first and cancels the context itself: canceling
 // the context first would let the deadline hook or the worker, woken by

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -324,6 +325,130 @@ func TestEndedJobPublishesNothing(t *testing.T) {
 				t.Error("the duration histogram observed a job that ended without a result")
 			}
 		})
+	}
+}
+
+// TestWorkersBoundComputations gives one worker jobs whose computation
+// ignores its context until released. Each job's deadline ends it, and
+// the next is submitted only then; the first computation still holds the
+// worker, so the later jobs expire queued and no second computation
+// ever starts beside it.
+func TestWorkersBoundComputations(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 1})
+	release := make(chan struct{})
+	var running, peak atomic.Int32
+	svc.execHook = func(context.Context, *graph.Graph, JobSpec) (*JobResult, error) {
+		n := running.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		<-release
+		running.Add(-1)
+		return &JobResult{}, nil
+	}
+	defer close(release)
+	id := addGraph(t, svc, gen.ForestUnion(20, 2, 1))
+	for seed := uint64(1); seed <= 4; seed++ {
+		j, err := svc.Submit(JobSpec{GraphID: id, Algorithm: "decompose", TimeoutMillis: 40,
+			Options: nwforest.Options{Alpha: 2, Eps: 0.5, Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap := waitDone(t, svc, j); snap.State != JobCanceled {
+			t.Fatalf("job %d ended %s, want canceled by its deadline", seed, snap.State)
+		}
+	}
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("%d computations ran at once on 1 worker", p)
+	}
+}
+
+// TestAnytimeGraceCancelsJob runs an anytime job whose computation
+// ignores its context until released. Once the deadline and the grace
+// have passed, the job ends canceled while its worker is still busy; the
+// result the computation returns after that, a checkpoint or a complete
+// run, is neither cached, written to the WAL nor counted as a partial.
+func TestAnytimeGraceCancelsJob(t *testing.T) {
+	const sentinel = 99 // this seed fails at once
+	for _, partial := range []bool{true, false} {
+		t.Run(fmt.Sprintf("partial=%v", partial), func(t *testing.T) {
+			svc := newTestService(t, Config{Workers: 1, AnytimeGrace: 50 * time.Millisecond, DataDir: t.TempDir()})
+			release := make(chan struct{})
+			var busy atomic.Bool
+			svc.execHook = func(ctx context.Context, g *graph.Graph, spec JobSpec) (*JobResult, error) {
+				if spec.Options.Seed == sentinel {
+					return nil, errors.New("sentinel")
+				}
+				busy.Store(true)
+				defer busy.Store(false)
+				<-release
+				res := &JobResult{Decomposition: &nwforest.Decomposition{Colors: make([]int32, g.M()), NumForests: 1}}
+				if partial {
+					res.Anytime = &algo.AnytimeInfo{Partial: true, ColorsUsed: 1, Target: 3, Checkpoints: 1, Phase: "test"}
+				}
+				return res, nil
+			}
+			id := addGraph(t, svc, gen.ForestUnion(20, 2, 1))
+			walBefore := svc.Stats().Persist.WALRecords
+			spec := JobSpec{GraphID: id, Algorithm: "decompose", Anytime: true, TimeoutMillis: 30,
+				Options: nwforest.Options{Alpha: 2, Eps: 0.5, Seed: 1}}
+			j, err := svc.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := waitDone(t, svc, j)
+			if want := context.DeadlineExceeded.Error() + " (no anytime checkpoint within grace)"; snap.State != JobCanceled || snap.Error != want {
+				t.Fatalf("job ended %s (%q), want canceled (%q)", snap.State, snap.Error, want)
+			}
+			if !busy.Load() {
+				t.Fatal("the computation returned before the grace ended the job")
+			}
+			close(release)
+			// The single worker takes the next job only once it is done
+			// with this one's late result.
+			spec.Options.Seed = sentinel
+			next, err := svc.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap := waitDone(t, svc, next); snap.State != JobFailed {
+				t.Fatalf("sentinel job ended %s, want failed", snap.State)
+			}
+			st := svc.Stats()
+			if st.Results.Size != 0 || st.Persist.WALRecords != walBefore || st.Anytime.Partials != 0 {
+				t.Errorf("cache entries %d, WAL records %d (was %d), partials %d: want 0, %d, 0",
+					st.Results.Size, st.Persist.WALRecords, walBefore, st.Anytime.Partials, walBefore)
+			}
+		})
+	}
+}
+
+// TestPanickingAlgorithmFailsJob checks that a computation that panics
+// on its worker fails its job and leaves the worker serving the next.
+func TestPanickingAlgorithmFailsJob(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 1})
+	svc.execHook = func(_ context.Context, _ *graph.Graph, spec JobSpec) (*JobResult, error) {
+		if spec.Options.Seed == 1 {
+			panic("boom")
+		}
+		return &JobResult{Alpha: 2}, nil
+	}
+	id := addGraph(t, svc, gen.ForestUnion(20, 2, 1))
+	for _, tc := range []struct {
+		seed  uint64
+		state JobState
+		err   string
+	}{
+		{1, JobFailed, "service: algorithm panicked: boom"},
+		{2, JobDone, ""},
+	} {
+		j, err := svc.Submit(JobSpec{GraphID: id, Algorithm: "decompose",
+			Options: nwforest.Options{Alpha: 2, Eps: 0.5, Seed: tc.seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap := waitDone(t, svc, j); snap.State != tc.state || snap.Error != tc.err {
+			t.Fatalf("job %d ended %s (%q), want %s (%q)", tc.seed, snap.State, snap.Error, tc.state, tc.err)
+		}
 	}
 }
 

@@ -47,7 +47,10 @@ import (
 
 // Config sizes a Service. The zero value gets sensible defaults.
 type Config struct {
-	// Workers is the worker-pool size (default GOMAXPROCS).
+	// Workers is the worker-pool size (default GOMAXPROCS). A job's
+	// computation runs on its worker, which takes the next job only when
+	// the computation returns, so at most Workers computations run at
+	// once, a canceled or expired job's included.
 	Workers int
 	// QueueDepth bounds the number of jobs waiting for a worker
 	// (default 256). Submit fails with ErrQueueFull beyond it.
@@ -75,12 +78,13 @@ type Config struct {
 	// DefaultTimeout applies to jobs that do not set TimeoutMillis
 	// (default 0 = no deadline).
 	DefaultTimeout time.Duration
-	// AnytimeGrace bounds how long a worker waits, after an anytime job's
+	// AnytimeGrace bounds how long a running anytime job waits, after its
 	// deadline fires, for the algorithm to surface its best checkpoint
 	// (the run aborts at the next per-round or per-cluster context check,
 	// so the wait is normally milliseconds; the grace only matters inside
 	// the few non-preemptible stretches). Beyond it the job is canceled
-	// like a non-anytime job (default 5s).
+	// like a non-anytime job, and a result the computation returns later
+	// is dropped (default 5s).
 	AnytimeGrace time.Duration
 	// DataDir, when non-empty, enables the durability tier
 	// (internal/persist): every ingested graph and computed result is
@@ -698,86 +702,76 @@ func (s *Service) worker() {
 	}
 }
 
-// runJob executes one job. The job's context is threaded down into the
-// algorithm, so a cancellation or deadline interrupts the decomposition
-// mid-phase (the H-partition peel checks it every simulated round,
-// Algorithm 2 every cluster). The algorithm
-// still runs in its own goroutine so the worker is released immediately
-// even for the few centralized reference computations that are not
-// preemptible; an abandoned computation of that kind finishes in the
-// background and its result is discarded.
+// runJob runs one job on its worker's goroutine, so the worker takes its
+// next job only when the computation returns and at most Config.Workers
+// computations run at once. The job's context is threaded down into the
+// algorithm, so a cancellation or deadline interrupts it mid-phase (the
+// H-partition peel checks it every simulated round, Algorithm 2 every
+// cluster, the exact arboricity search every edge). Cancel and the
+// deadline hook end a running job at once; its computation's eventual
+// result then fails the claim and is dropped. A running anytime job has
+// no deadline hook: its deadline starts Config.AnytimeGrace, within
+// which the algorithm may return its best checkpoint as a partial
+// result, and after which the job is canceled.
 func (s *Service) runJob(j *Job) {
 	started := time.Now()
 	if !j.tryStart(started) {
 		return // ended while queued; whoever ended it settled it
 	}
-	type outcome struct {
-		res *JobResult
-		err error
+	stopGrace := func() bool { return false }
+	if j.spec.Anytime {
+		stopGrace = context.AfterFunc(j.ctx, func() {
+			time.AfterFunc(s.cfg.AnytimeGrace, func() {
+				j.finish(time.Now(), JobCanceled, nil,
+					j.ctx.Err().Error()+" (no anytime checkpoint within grace)", false)
+			})
+		})
 	}
-	ch := make(chan outcome, 1)
 	// The job's event hub rides down into the algorithm as the cost
 	// account's observer, so SSE subscribers see phases and rounds as
 	// they are charged; the hub forwards the same charge stream to the
 	// span recorder, which turns it into phase spans.
 	j.rec.BeginExecution(started)
-	execCtx := dist.WithObserver(j.ctx, j.hub)
-	go func() {
-		defer func() {
-			// A panicking algorithm must fail its job, not kill the daemon.
-			if r := recover(); r != nil {
-				ch <- outcome{nil, fmt.Errorf("service: algorithm panicked: %v", r)}
-			}
-		}()
-		res, err := s.execute(execCtx, j)
-		ch <- outcome{res, err}
+	res, err := s.compute(dist.WithObserver(j.ctx, j.hub), j)
+	// Stop the grace before the done transition, whose cancel would start
+	// it. A grace already started ends the job only if it runs out before
+	// the worker's transition below.
+	stopGrace()
+	switch {
+	case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
+		// The algorithm observed the job context and aborted mid-phase:
+		// that is a cancellation, not an algorithm failure.
+		j.finish(time.Now(), JobCanceled, nil, err.Error(), false)
+	case err != nil:
+		j.finish(time.Now(), JobFailed, nil, err.Error(), false)
+	case !j.claim():
+		// Canceled or expired first: the result is discarded.
+	default:
+		if res.Anytime != nil && res.Anytime.Partial {
+			// A deadline-interrupted anytime run served its best
+			// checkpoint. It answers this job's deadline only, so it is
+			// neither cached nor persisted.
+			s.anytimePartials.Add(1)
+		} else {
+			s.cache.put(j.spec.CacheKey(), res)
+			s.persistResult(j.spec.CacheKey(), res)
+		}
+		s.observeJobDuration(j.spec.Algorithm, time.Since(started))
+		// After the WAL append: a result is durable before any client
+		// can see its job done.
+		j.finish(time.Now(), JobDone, res, "", true)
+	}
+}
+
+// compute runs the job's computation; a panicking algorithm fails its
+// job instead of killing the daemon.
+func (s *Service) compute(ctx context.Context, j *Job) (res *JobResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("service: algorithm panicked: %v", r)
+		}
 	}()
-	handle := func(out outcome) {
-		switch {
-		case out.err != nil && (errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded)):
-			// The algorithm observed the job context and aborted mid-phase:
-			// that is a cancellation, not an algorithm failure.
-			j.finish(time.Now(), JobCanceled, nil, out.err.Error(), false)
-		case out.err != nil:
-			j.finish(time.Now(), JobFailed, nil, out.err.Error(), false)
-		case !j.claim():
-			// Canceled or expired first: the result is discarded.
-		default:
-			if out.res.Anytime != nil && out.res.Anytime.Partial {
-				// A deadline-interrupted anytime run served its best
-				// checkpoint. It answers this job's deadline only, so it is
-				// neither cached nor persisted.
-				s.anytimePartials.Add(1)
-			} else {
-				s.cache.put(j.spec.CacheKey(), out.res)
-				s.persistResult(j.spec.CacheKey(), out.res)
-			}
-			s.observeJobDuration(j.spec.Algorithm, time.Since(started))
-			// After the WAL append: a result is durable before any client
-			// can see its job done.
-			j.finish(time.Now(), JobDone, out.res, "", true)
-		}
-	}
-	select {
-	case out := <-ch:
-		handle(out)
-	case <-j.ctx.Done():
-		if !j.spec.Anytime {
-			return // whoever ended the job (Cancel or its deadline hook) settled it
-		}
-		// The deadline fired mid-run (tryStart unregistered this job's
-		// hook): give the algorithm a short grace to abort at its next
-		// context check and surface the best checkpoint as a partial result.
-		grace := time.NewTimer(s.cfg.AnytimeGrace)
-		select {
-		case out := <-ch:
-			grace.Stop()
-			handle(out)
-		case <-grace.C:
-			j.finish(time.Now(), JobCanceled, nil,
-				j.ctx.Err().Error()+" (no anytime checkpoint within grace)", false)
-		}
-	}
+	return s.execute(ctx, j)
 }
 
 // persistResult writes a computed result through to the durability tier
@@ -1188,7 +1182,8 @@ func (s *Service) Stats() Stats {
 
 // Close shuts the service down gracefully: new submissions fail with
 // ErrClosed, every in-flight job's context is canceled, and Close waits
-// (up to ctx's deadline) for the workers to drain.
+// (up to ctx's deadline) for the workers to drain, which includes each
+// running computation returning at its next context check.
 func (s *Service) Close(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {

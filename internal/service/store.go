@@ -433,18 +433,11 @@ func (s *Store) Get(id string) (*graph.Graph, error) {
 
 	// Re-parse outside the lock; a concurrent Get of the same cold graph
 	// may duplicate the work, which is harmless.
-	data := src.data
-	format := graph.Format(src.info.Format)
-	if src.path != "" {
-		var err error
-		if data, err = os.ReadFile(src.path); err != nil {
-			return nil, fmt.Errorf("service: re-reading %s: %w", src.path, err)
-		}
-		if got := hashID(format, data); got != id {
-			return nil, fmt.Errorf("service: %s changed on disk (now %s, stored as %s)", src.path, got, id)
-		}
+	data, err := src.raw(id)
+	if err != nil {
+		return nil, err
 	}
-	g, err := graph.DecodeFormat(bytes.NewReader(data), format)
+	g, err := graph.DecodeFormat(bytes.NewReader(data), graph.Format(src.info.Format))
 	if err != nil {
 		return nil, fmt.Errorf("service: re-parsing %q: %w", id, err)
 	}
@@ -467,24 +460,32 @@ func (s *Store) Get(id string) (*graph.Graph, error) {
 func (s *Store) SourceData(id string) ([]byte, graph.Format, error) {
 	s.mu.Lock()
 	src, ok := s.sources[id]
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		return nil, "", fmt.Errorf("%w %q", ErrUnknownGraph, id)
 	}
-	data := src.data
-	path := src.path
-	format := graph.Format(src.info.Format)
-	s.mu.Unlock()
-	if path != "" {
-		var err error
-		if data, err = os.ReadFile(path); err != nil {
-			return nil, "", fmt.Errorf("service: re-reading %s: %w", path, err)
-		}
-		if got := hashID(format, data); got != id {
-			return nil, "", fmt.Errorf("service: %s changed on disk (now %s, stored as %s)", path, got, id)
-		}
+	data, err := src.raw(id)
+	if err != nil {
+		return nil, "", err
 	}
-	return data, format, nil
+	return data, graph.Format(src.info.Format), nil
+}
+
+// raw returns the source's raw bytes. A file-backed source is re-read
+// and must still hash to its ID. The fields it reads never change once
+// the source is stored, so the caller needs no lock.
+func (src *graphSource) raw(id string) ([]byte, error) {
+	if src.path == "" {
+		return src.data, nil
+	}
+	data, err := os.ReadFile(src.path)
+	if err != nil {
+		return nil, fmt.Errorf("service: re-reading %s: %w", src.path, err)
+	}
+	if got := hashID(graph.Format(src.info.Format), data); got != id {
+		return nil, fmt.Errorf("service: %s changed on disk (now %s, stored as %s)", src.path, got, id)
+	}
+	return data, nil
 }
 
 // List returns the metadata of every stored graph, sorted by ID.

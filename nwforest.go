@@ -188,10 +188,14 @@ func EstimateAlpha(g *Graph) (int, int, error) {
 
 // Arboricity computes the exact arboricity of g with the centralized
 // Gabow-Westermann matroid-union algorithm, together with a witnessing
-// optimal decomposition. (It calls the exact reference directly — no
-// error path — but the same computation is registered as the
-// "arboricity" algorithm for Run callers.)
-func Arboricity(g *Graph) (int, []int32) { return exact.Arboricity(g) }
+// optimal decomposition. (It calls the exact reference directly, without
+// a deadline, so it has no error path; the same computation is
+// registered as the "arboricity" algorithm for Run callers, where the
+// context ends it.)
+func Arboricity(g *Graph) (int, []int32) {
+	alpha, colors, _ := exact.Arboricity(context.Background(), g)
+	return alpha, colors
+}
 
 // PseudoArboricity computes the exact pseudo-arboricity (the minimum
 // possible maximum out-degree over all orientations).
